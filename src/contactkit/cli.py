@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from typing import Optional
@@ -308,25 +309,26 @@ def _cmd_flow(args) -> int:
         "T": args.T,
         "tol": args.tol,
     }
+    field = _flow_field(args, m)
     try:
-        traj = integrate_flow(m, _flow_field(args, m), start, args.T,
+        traj = integrate_flow(m, field, start, args.T,
                               tol=args.tol, max_step=args.max_step)
-    except IntegrationError as exc:
+        traj.to_csv(stem + ".csv")
+        report["trajectory_csv"] = stem + ".csv"
+        report.update(traj.stats())
+        if args.t_min is not None and args.t_min < traj.total_time:
+            t_ret, d_ret = min_return_distance(traj, args.t_min)
+            report["return_time"] = float(t_ret)
+            report["return_distance"] = float(d_ret)
+        if args.coverage_resolution >= 2:
+            report["coverage_resolution"] = args.coverage_resolution
+            report["coverage"] = float(orbit_coverage(traj, args.coverage_resolution,
+                                                      seed=args.seed))
+    except (IntegrationError, GeometryError) as exc:
         report["error"] = str(exc)
         report["pass"] = False
         _emit(report, stem + ".json" if args.output else None)
         return 1
-    traj.to_csv(stem + ".csv")
-    report["trajectory_csv"] = stem + ".csv"
-    report.update(traj.stats())
-    if args.t_min is not None and args.t_min < traj.total_time:
-        t_ret, d_ret = min_return_distance(traj, args.t_min)
-        report["return_time"] = float(t_ret)
-        report["return_distance"] = float(d_ret)
-    if args.coverage_resolution >= 2:
-        report["coverage_resolution"] = args.coverage_resolution
-        report["coverage"] = float(orbit_coverage(traj, args.coverage_resolution,
-                                                  seed=args.seed))
     if args.observable is not None:
         min_dim, fn = _OBSERVABLES[args.observable]
         if m.ambient_dim < min_dim:
@@ -674,9 +676,26 @@ def _build_parser():
     return parser, registry
 
 
+def _attach_dash_values(argv: list, registry: dict) -> list:
+    """Join "--flag -1,0" into "--flag=-1,0" for flags that take a value.
+
+    argparse reads a token that starts with '-' and is not a plain
+    number, such as a comma list with a negative first entry, as a flag.
+    """
+    takes_value = {opt for p in registry.values() for action in p._actions
+                   if action.nargs is None for opt in action.option_strings}
+    out = []
+    for tok in argv:
+        if out and out[-1] in takes_value and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = _build_parser()
+    argv = _attach_dash_values(list(sys.argv[1:] if argv is None else argv), registry)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -66,8 +66,14 @@ class ContactManifold:
         return 2 * self.n + 1
 
     def key(self) -> str:
-        items = ",".join(f"{k}={getattr(v, '__name__', v)}"
-                         for k, v in sorted(self.params.items()))
+        """Name and scalar parameters, e.g. ``torus3(winding=2)``.
+
+        Callable parameters are left out: a function cannot be printed
+        by value, so a constructor that takes one also records the
+        scalars that determine it.
+        """
+        items = ",".join(f"{k}={v}" for k, v in sorted(self.params.items())
+                         if not callable(v))
         return f"{self.name}({items})"
 
     def scaled(self, s: float) -> "ContactManifold":

@@ -332,7 +332,9 @@ def unit_cotangent_sphere(conformal_exponent: Callable = None,
 
     Points are (q, p) in R^6 with |q| = 1, q . p = 0 and
     |p| = exp(f(q)); the form is p . dq.  The Reeb flow is the
-    unit-speed geodesic flow of the metric.
+    unit-speed geodesic flow of the metric.  The key records ``label``
+    but not f, so a caller passing f records the scalars that fix it
+    (see ``_cotangent_bump``).
     """
     f = conformal_exponent if conformal_exponent is not None else (lambda q1, q2, q3: 0.0 * q1)
 
@@ -400,6 +402,13 @@ def hopf_projection(pts) -> np.ndarray:
     return out[0] if scalar else out
 
 
+def _cotangent_bump(strength=0.1) -> ContactManifold:
+    """Cotangent bundle with conformal exponent f(q) = strength * q3."""
+    s = float(strength)
+    m = unit_cotangent_sphere(lambda q1, q2, q3: s * q3, label="bump")
+    return replace(m, params={**m.params, "strength": s})
+
+
 def catalog() -> dict:
     """Named constructors for the command-line interface."""
     return {
@@ -408,7 +417,6 @@ def catalog() -> dict:
         "weighted": lambda weights="1,1": weighted_sphere(
             [float(x) for x in str(weights).split(",")]),
         "cotangent-round": lambda: unit_cotangent_sphere(),
-        "cotangent-bump": lambda strength=0.1: unit_cotangent_sphere(
-            (lambda q1, q2, q3, s=float(strength): s * q3), label="bump"),
+        "cotangent-bump": _cotangent_bump,
         "degenerate-torus": lambda: degenerate_torus(),
     }

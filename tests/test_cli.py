@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from contactkit.cli import main
+from contactkit.manifold import ContactManifold, ProjectionError
 
 
 @pytest.fixture(autouse=True)
@@ -82,6 +83,25 @@ def test_flow_output_stem_controls_both_files(capsys, tmp_path):
     rep = json.loads((tmp_path / "orbit.json").read_text())
     traj = np.genfromtxt(tmp_path / "orbit.csv", delimiter=",", names=True)
     assert rep["pass"] is True and len(traj) > 2
+
+
+def test_flow_projection_failure_is_a_report(capsys, monkeypatch):
+    def fail(self, pts, *args, **kwargs):
+        raise ProjectionError("projection did not converge")
+
+    monkeypatch.setattr(ContactManifold, "project", fail)
+    code, rep, _ = run_json(capsys, "flow", "--manifold", "sphere",
+                            "--start", "1,0,0,0", "--T", "1")
+    assert code == 1 and rep["pass"] is False
+    assert "projection did not converge" in rep["error"]
+
+
+def test_flow_takes_a_negative_start(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("start = 1,0,0,0\n")
+    code, rep, _ = run_json(capsys, "flow", "--manifold", "sphere", "--T", "0",
+                            "--start", "-1,0,0,0", "--config", str(cfg))
+    assert code == 0 and rep["start"] == [-1.0, 0.0, 0.0, 0.0]
 
 
 def test_flow_needs_a_start(capsys):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from contactkit import zoo
+from contactkit import flows, zoo
 from contactkit.flows import (FlowTrajectory, IntegrationError, birkhoff_average,
                               conformal_factor, flow_points, integrate_flow,
                               min_return_distance, orbit_coverage, space_average,
@@ -189,6 +189,52 @@ def test_min_return_distance_on_golden_flow(golden):
     exact = zoo.weighted_flow_closed_form(golden, start, t_star)
     assert d_star == pytest.approx(float(np.linalg.norm(exact - start)), abs=1e-6)
     assert 1e-3 < d_star < 2.5e-3
+
+
+def golden_return_orbit(golden, field):
+    """Golden-ellipsoid orbit of time 0.5 whose closest return after 0.4 is searched."""
+    start = sample(golden, 1)[0]
+    return start, integrate_flow(golden, field, start, 0.5)
+
+
+def test_min_return_search_costs_one_reintegration_per_candidate(golden, monkeypatch):
+    calls = []
+
+    def counted(pts):
+        calls.append(1)
+        return golden.reeb_field(pts)
+
+    _, traj = golden_return_orbit(golden, counted)
+    candidates = []
+    refine = flows._refine_return
+
+    def counted_refine(*args):
+        candidates.append(args[1])
+        return refine(*args)
+
+    monkeypatch.setattr(flows, "_refine_return", counted_refine)
+    calls.clear()
+    min_return_distance(traj, 0.4)
+    # at most two rebuilt DP5(4) steps and one 64-step RK4 re-integration each
+    assert candidates
+    assert len(calls) <= len(candidates) * (2 * 7 + 4 * 64)
+
+
+def test_min_return_at_the_window_edge_matches_closed_form(golden):
+    start, traj = golden_return_orbit(golden, None)
+    t_star, d_star = min_return_distance(traj, 0.4)
+    assert min(abs(t_star - 0.4), abs(t_star - 0.5)) < 1e-6
+    exact = zoo.weighted_flow_closed_form(golden, start, t_star)
+    assert abs(d_star - float(np.linalg.norm(exact - start))) <= 1e-7
+    scan = zoo.weighted_flow_closed_form(golden, start, np.linspace(0.4, 0.5, 20001))
+    assert d_star <= float(np.min(np.linalg.norm(scan - start, axis=1))) + 1e-7
+
+
+def test_min_return_interior_minimum_on_hopf_orbit(sphere):
+    traj = integrate_flow(sphere, None, np.array([1.0, 0.0, 0.0, 0.0]), 3.2)
+    t_star, d_star = min_return_distance(traj, 3.0)
+    assert abs(t_star - math.pi) <= 1e-6
+    assert d_star <= 1e-7
 
 
 def test_min_return_requires_room(sphere):

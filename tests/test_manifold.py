@@ -126,3 +126,10 @@ def test_wrap_is_periodic_identity_on_torus(torus):
 def test_key_distinguishes_parameters():
     assert zoo.torus3(1).key() != zoo.torus3(2).key()
     assert zoo.standard_sphere(1).key() != zoo.standard_sphere(1).scaled(2.0).key()
+
+
+def test_cotangent_bump_key_records_the_strength():
+    bump = zoo.catalog()["cotangent-bump"]
+    assert bump(0.1).key() != bump(0.3).key()
+    assert bump(0.1).key() == bump(0.1).key()
+    assert "strength=0.3" in bump(0.3).key()
