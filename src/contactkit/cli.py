@@ -7,8 +7,8 @@
     contactkit preq --normalize-period 2pi
 
 Results are JSON records (stdout, or ``--output`` file); trajectories
-and tables are CSV.  Floats are printed with 17 significant digits so
-they round-trip exactly.  Every record carries the seed and a
+and tables are CSV.  Floats are printed as their shortest repr, which
+round-trips exactly.  Every record carries the seed and a
 timestamp; identical config and seed reproduce identical output up to
 the timestamp line.
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import re
 import sys
@@ -52,18 +53,6 @@ class UsageError(Exception):
 # ---- JSON with round-trip floats -------------------------------------
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    text = f"{x:.17g}"
-    # keep the token a float on the way back in
-    if not any(c in text for c in ".eE"):
-        text += ".0"
-    return text
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -78,37 +67,10 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _dumps(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ",\n".join(f'{pad}  "{k}": {_dumps(v, indent + 1)}'
-                          for k, v in obj.items())
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        body = ",\n".join(f"{pad}  {_dumps(v, indent + 1)}" for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        import json
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _emit(report: dict, output: Optional[str]) -> None:
     report = _jsonable(report)
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = _dumps(report) + "\n"
+    text = json.dumps(report, indent=2) + "\n"
     if output:
         with open(output, "w") as handle:
             handle.write(text)

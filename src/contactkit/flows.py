@@ -142,6 +142,32 @@ def _project_step(m: ContactManifold, y: np.ndarray, drift: float) -> tuple:
     return m.project(y), max(drift, res)
 
 
+def _dp_stages(rhs: Callable, y: np.ndarray, h) -> list:
+    """The seven Dormand-Prince stage derivatives of a step of length h from y."""
+    k = [rhs(y)]
+    for i in range(1, 7):
+        k.append(rhs(y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))))
+    return k
+
+
+def _rk4(deriv: Callable, project: Optional[Callable], y: np.ndarray, T: float,
+         steps: int) -> np.ndarray:
+    """Fixed-step classical RK4 for y' = deriv(y) over time T, applying
+    project (when given) after every step."""
+    if T == 0 or steps == 0:
+        return y
+    h = T / steps
+    for _ in range(steps):
+        k1 = deriv(y)
+        k2 = deriv(y + 0.5 * h * k1)
+        k3 = deriv(y + 0.5 * h * k2)
+        k4 = deriv(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if project is not None:
+            y = project(y)
+    return y
+
+
 def integrate_flow(m: ContactManifold, field, start, T: float,
                    tol: float = 1e-9, max_step: Optional[float] = None,
                    max_steps: int = 2_000_000) -> FlowTrajectory:
@@ -170,15 +196,11 @@ def integrate_flow(m: ContactManifold, field, start, T: float,
     steps = 0
     rejected = 0
     drift = 0.0
-    k = [None] * 7
     while t < T:
         h = min(h, T - t)
         if h < 1e-14 * max(1.0, t):
             raise IntegrationError(f"step size underflow at t={t:.6g}")
-        k[0] = rhs(y)
-        for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = rhs(yi)
+        k = _dp_stages(rhs, y, h)
         y5 = y + h * sum(b * k[j] for j, b in enumerate(_DP_B5) if b != 0.0)
         err = h * sum(e * k[j] for j, e in enumerate(_DP_ERR) if e != 0.0)
         scale = tol * (1.0 + np.abs(y5))
@@ -213,17 +235,7 @@ def flow_points(m: ContactManifold, field, starts, T: float,
     scalar = np.asarray(starts).ndim == 1
     if steps is None:
         steps = max(64, int(math.ceil(abs(T) * 128)))
-    if T == 0 or steps == 0:
-        return pts[0] if scalar else pts
-    h = T / steps
-    for _ in range(steps):
-        k1 = rhs(pts)
-        k2 = rhs(pts + 0.5 * h * k1)
-        k3 = rhs(pts + 0.5 * h * k2)
-        k4 = rhs(pts + h * k3)
-        pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if m.constraints:
-            pts = m.project(pts)
+    pts = _rk4(rhs, m.project if m.constraints else None, pts, T, steps)
     return pts[0] if scalar else pts
 
 
@@ -259,24 +271,19 @@ def transported_flow(m: ContactManifold, generator, starts, vectors, T: float,
     space after every step.  Returns (endpoints, transported vectors).
     """
     supplier = _transport_supplier(m, generator)
-    x = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
-    v = np.atleast_2d(np.asarray(vectors, dtype=float)).copy()
+    x = np.atleast_2d(np.asarray(starts, dtype=float))
+    v = np.atleast_2d(np.asarray(vectors, dtype=float))
     scalar = np.asarray(starts).ndim == 1
     if steps is None:
         steps = max(64, int(math.ceil(abs(T) * 256)))
-    if T == 0 or steps == 0:
-        return (x[0], v[0]) if scalar else (x, v)
-    h = T / steps
-    for _ in range(steps):
-        fx1, fv1 = supplier(x, v)
-        fx2, fv2 = supplier(x + 0.5 * h * fx1, v + 0.5 * h * fv1)
-        fx3, fv3 = supplier(x + 0.5 * h * fx2, v + 0.5 * h * fv2)
-        fx4, fv4 = supplier(x + h * fx3, v + h * fv3)
-        x = x + (h / 6.0) * (fx1 + 2 * fx2 + 2 * fx3 + fx4)
-        v = v + (h / 6.0) * (fv1 + 2 * fv2 + 2 * fv3 + fv4)
-        if m.constraints:
-            x = m.project(x)
-            v = _tangent_project(m, x, v)
+
+    def project(state):
+        pts = m.project(state[0])
+        return np.stack([pts, _tangent_project(m, pts, state[1])])
+
+    # state[0] holds the points and state[1] the vectors
+    x, v = _rk4(lambda state: np.stack(supplier(state[0], state[1])),
+                project if m.constraints else None, np.stack([x, v]), T, steps)
     return (x[0], v[0]) if scalar else (x, v)
 
 
@@ -345,6 +352,8 @@ def space_average(m: ContactManifold, f, budget: int = 1 << 17,
 
 
 _COVERAGE_CACHE: dict = {}
+# censuses kept, oldest evicted first: each holds up to ~1e6 cell indices
+_COVERAGE_CACHE_SIZE = 4
 
 _REFERENCE_COUNT = 1 << 20     # ~1e6 quasi-random points for the cell census
 
@@ -373,6 +382,8 @@ def _reference_census(m: ContactManifold, resolution: int, seed: int) -> tuple:
         rng = np.random.default_rng(seed)
         pts = m.wrap(m.random_points(_REFERENCE_COUNT, rng))
         lo, hi = _cell_box(m, pts)
+        if len(_COVERAGE_CACHE) >= _COVERAGE_CACHE_SIZE:
+            del _COVERAGE_CACHE[next(iter(_COVERAGE_CACHE))]
         _COVERAGE_CACHE[key] = (lo, hi, _cells(pts, lo, hi, resolution))
     return _COVERAGE_CACHE[key]
 
@@ -408,9 +419,7 @@ def _dense_steps(traj: FlowTrajectory, first: int, last: int) -> np.ndarray:
     """
     y0 = traj.points[first:last]
     h = np.diff(traj.times[first:last + 1])[:, None]
-    k = [traj.rhs(y0)]
-    for i in range(1, 7):
-        k.append(traj.rhs(y0 + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))))
+    k = _dp_stages(traj.rhs, y0, h)
     return np.einsum("snd,nc->sdc", np.stack(k, axis=1), _DP_P)
 
 

@@ -22,8 +22,7 @@ from .fields import ScalarField
 from .manifold import (
     ContactManifold,
     GeometryError,
-    hamiltonian_field_with_derivative,
-    reeb_with_derivative,
+    _contact_solve,
 )
 
 REEB_INVARIANCE_TOL = 1e-8
@@ -87,23 +86,22 @@ def hamiltonian_to_field(h: Hamiltonian, pts, tol: float = FIELD_SOLVE_TOL):
     equations alpha(X) = H and dalpha(X, e_j) = -dH(e_j) + dH(R) alpha(e_j);
     the residual must stay below tol.
     """
-    m = h.manifold
     pts_arr = np.asarray(pts, dtype=float)
-    scalar = pts_arr.ndim == 1
-    q = np.atleast_2d(pts_arr)
-    frame = m.tangent_frame(q)
-    n_pts, k, d = frame.shape
+    out, _ = _field_and_dh_reeb(h, np.atleast_2d(pts_arr), tol)
+    return out[0] if pts_arr.ndim == 1 else out
 
-    coefs = m.form.coefficients(q)
-    a = np.einsum("nja,na->nj", frame, coefs)
-    dmat = m.form.dmatrix(q, frame)
+
+def _field_and_dh_reeb(h: Hamiltonian, q: np.ndarray, tol: float) -> tuple:
+    """The contact field of h at points q (N, d) and dH(R) there, from one
+    frame solve of the manifold."""
+    frame, a, dmat, r = h.manifold.frame_system(q)
+    n_pts, k, d = frame.shape
     hvals = np.asarray(h.field(q), dtype=float)
     if hvals.ndim == 0:
         hvals = np.full(n_pts, float(hvals))
     dh_frame = np.stack([h.field.directional(q, frame[:, j, :]) for j in range(k)],
                         axis=1)
-    reeb = m.reeb_field(q)
-    dh_reeb = np.asarray(h.field.directional(q, reeb), dtype=float)
+    dh_reeb = np.einsum("nj,nj->n", dh_frame, r)
 
     system = np.empty((n_pts, k + 1, k))
     system[:, 0, :] = a
@@ -116,8 +114,7 @@ def hamiltonian_to_field(h: Hamiltonian, pts, tol: float = FIELD_SOLVE_TOL):
     if residual > tol:
         raise GeometryError(
             f"contact field solve residual {residual:.3e} exceeds {tol:.0e}")
-    out = np.einsum("nj,nja->na", sol[..., 0], frame)
-    return out[0] if scalar else out
+    return np.einsum("nj,nja->na", sol[..., 0], frame), dh_reeb
 
 
 def is_reeb_invariant(h: Hamiltonian, samples: int = 1000, seed: int = 0,
@@ -133,16 +130,12 @@ def is_reeb_invariant(h: Hamiltonian, samples: int = 1000, seed: int = 0,
 
 def bracket(h1: Hamiltonian, h2: Hamiltonian, pts) -> np.ndarray:
     """The contact bracket dH1(R) H2 - dH2(X1) evaluated at pts."""
-    m = h1.manifold
     pts_arr = np.asarray(pts, dtype=float)
-    scalar = pts_arr.ndim == 1
     q = np.atleast_2d(pts_arr)
-    reeb = m.reeb_field(q)
-    x1 = hamiltonian_to_field(h1, q)
-    vals = (np.asarray(h1.field.directional(q, reeb), dtype=float)
-            * np.asarray(h2.field(q), dtype=float)
+    x1, dh1_reeb = _field_and_dh_reeb(h1, q, FIELD_SOLVE_TOL)
+    vals = (dh1_reeb * np.asarray(h2.field(q), dtype=float)
             - np.asarray(h2.field.directional(q, x1), dtype=float))
-    return vals[0] if scalar else vals
+    return vals[0] if pts_arr.ndim == 1 else vals
 
 
 def _coords_to_seeded_point(coords):
@@ -173,7 +166,7 @@ def bracket_hamiltonian(h1: Hamiltonian, h2: Hamiltonian) -> Hamiltonian:
     """The bracket as a Hamiltonian, differentiable through dual seeding.
 
     Plain float coordinates use the batched frame solver; coordinates
-    carrying one dual layer route through the ambient seeded solvers so
+    carrying one dual layer route through one ambient seeded solve so
     nested brackets (Jacobi identity checks) stay differentiable.
     """
     m = h1.manifold
@@ -184,16 +177,13 @@ def bracket_hamiltonian(h1: Hamiltonian, h2: Hamiltonian) -> Hamiltonian:
             out = bracket(h1, h2, pts)
             return out if not scalar_flag else float(out)
         p, dp = _coords_to_seeded_point(coords)
-        reeb0, reeb1 = reeb_with_derivative(m, p, dp)
-        x10, x11 = hamiltonian_field_with_derivative(m, h1.field, p, dp)
-        flat = p.ndim == 1
+        (reeb0, reeb1), (x10, x11) = _contact_solve(m, np.atleast_2d(p), np.atleast_2d(dp),
+                                                    h1.field)
+        if p.ndim == 1:
+            reeb0, reeb1, x10, x11 = reeb0[0], reeb1[0], x10[0], x11[0]
         base = [Dual(p[..., a], dp[..., a]) for a in range(m.ambient_dim)]
-        if flat:
-            reeb = [Dual(reeb0[a], reeb1[a]) for a in range(m.ambient_dim)]
-            x1 = [Dual(x10[a], x11[a]) for a in range(m.ambient_dim)]
-        else:
-            reeb = [Dual(reeb0[..., a], reeb1[..., a]) for a in range(m.ambient_dim)]
-            x1 = [Dual(x10[..., a], x11[..., a]) for a in range(m.ambient_dim)]
+        reeb = [Dual(reeb0[..., a], reeb1[..., a]) for a in range(m.ambient_dim)]
+        x1 = [Dual(x10[..., a], x11[..., a]) for a in range(m.ambient_dim)]
         dh1_reeb = _dual_gradient_contract(h1.field, base, reeb)
         dh2_x1 = _dual_gradient_contract(h2.field, base, x1)
         return dh1_reeb * h2.field.fn(base) - dh2_x1

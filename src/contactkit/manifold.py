@@ -199,15 +199,17 @@ class ContactManifold:
             out = np.full(q.shape[0], np.nan)
         return float(out[0]) if scalar else out
 
-    def reeb_field(self, pts) -> np.ndarray:
-        """Reeb vector field: alpha(R) = 1 and d alpha(R, .) = 0 on TM.
+    def frame_system(self, pts) -> tuple:
+        """The contact system in the oriented orthonormal tangent frame.
 
-        Solved pointwise by extracting the kernel of the restricted
-        two-form in an orthonormal frame.
+        Returns (frame, a, dmat, r), always batched: the frame (N, 2n+1, d),
+        alpha in it (N, 2n+1), the d alpha matrix (N, 2n+1, 2n+1) and the
+        kernel vector r of d alpha scaled to alpha(r) = 1, so that the
+        Reeb field is r expanded in the frame.  Raises
+        ContactDegeneracyError where the kernel is not a single line on
+        which alpha is nonzero.
         """
-        pts = np.asarray(pts, dtype=float)
-        scalar = pts.ndim == 1
-        q = np.atleast_2d(pts)
+        q = np.atleast_2d(np.asarray(pts, dtype=float))
         frame = self.tangent_frame(q)
         dmat = self.form.dmatrix(q, frame)
         _, sv, vh = np.linalg.svd(dmat)
@@ -220,15 +222,24 @@ class ContactManifold:
         scale = np.einsum("ni,ni->n", a, kernel)
         if np.any(np.abs(scale) <= 1e-12):
             raise ContactDegeneracyError("kernel direction is alpha-null; the form is not contact")
-        reeb = np.einsum("ni,nia->na", kernel, frame) / scale[:, None]
-        return reeb[0] if scalar else reeb
+        return frame, a, dmat, kernel / scale[:, None]
+
+    def reeb_field(self, pts) -> np.ndarray:
+        """Reeb vector field: alpha(R) = 1 and d alpha(R, .) = 0 on TM.
+
+        Solved pointwise by extracting the kernel of the restricted
+        two-form in an orthonormal frame.
+        """
+        frame, _, _, r = self.frame_system(pts)
+        reeb = np.einsum("ni,nia->na", r, frame)
+        return reeb[0] if np.ndim(pts) == 1 else reeb
 
     def reeb_residuals(self, pts) -> dict:
         """Defining-equation residuals of the computed Reeb field."""
         q = np.atleast_2d(np.asarray(pts, dtype=float))
-        reeb = np.atleast_2d(self.reeb_field(q))
+        frame, _, _, r = self.frame_system(q)
+        reeb = np.einsum("ni,nia->na", r, frame)
         alpha_res = np.abs(self.form(q, reeb) - 1.0)
-        frame = self.tangent_frame(q)
         coords = [q[:, a] for a in range(self.ambient_dim)]
         d_reeb = self.form.coefficient_derivative(coords, [reeb[:, a] for a in range(self.ambient_dim)])
         d_reeb = np.column_stack([np.broadcast_to(np.asarray(c, dtype=float), (q.shape[0],))
@@ -349,42 +360,59 @@ def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray):
     return omega, alpha_coef, cgrads, base
 
 
-def _solve_contact_system(m, omega, alpha_coef, cgrads, rhs_top, rhs_alpha, n_pts):
-    """Least-squares solve of the ambient contact system and its seed.
+def _contact_solve(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
+    """Reeb field and, given h, its contact field at p, each with its dp-derivative.
 
-    Rows: omega X - grads^T mu = rhs_top; alpha . X = rhs_alpha;
-    grads . X = 0.  Unknowns (X, mu); returns the X block twice, value
-    and dp-derivative.
+    One seeded pass builds the ambient system S (X, mu) = rhs with rows
+    omega X - grads^T mu = top, alpha . X = rhs_alpha, grads . X = 0.
+    S is factorised once; each field takes its own right-hand side,
+    value x0 = S^+ r and derivative x1 = S^+ (r_eps - S_eps x0).  Returns
+    ((reeb, d_reeb), (X_H, d_X_H) or None), each array (N, d).  Raises
+    ContactDegeneracyError where S loses column rank.
     """
+    n_pts = p.shape[0]
     d = m.ambient_dim
+    omega, alpha_coef, cgrads, base = _ambient_data(m, p, dp)
     k = len(cgrads)
-    entries = []
-    rhs = []
-    for a in range(d):
-        entries.append([omega[a][b] for b in range(d)] + [-1.0 * cgrads[j][a] for j in range(k)])
-        rhs.append([rhs_top[a]])
+    entries = [[omega[a][b] for b in range(d)] + [-1.0 * cgrads[j][a] for j in range(k)]
+               for a in range(d)]
     entries.append(list(alpha_coef) + [0.0] * k)
-    rhs.append([rhs_alpha])
-    for j in range(k):
-        entries.append(list(cgrads[j]) + [0.0] * k)
-        rhs.append([0.0])
+    entries += [list(cgrads[j]) + [0.0] * k for j in range(k)]
     s_val, s_eps = _stack_dual(entries, n_pts)
-    r_val, r_eps = _stack_dual(rhs, n_pts)
-    pinv = np.linalg.pinv(s_val)
-    x0 = pinv @ r_val
-    x1 = pinv @ (r_eps - s_eps @ x0)
-    return x0[:, :d, 0], x1[:, :d, 0]
+    u, sv, vh = np.linalg.svd(s_val, full_matrices=False)
+    if np.any(sv[:, -1] <= DEGENERACY_RTOL * sv[:, 0]):
+        raise ContactDegeneracyError(
+            "ambient contact system is rank deficient; the form is not contact there")
+    # np.linalg.pinv's construction; the margin check leaves no singular
+    # value for it to cut
+    pinv = np.swapaxes(vh, -1, -2) @ ((1.0 / sv)[..., None] * np.swapaxes(u, -1, -2))
+
+    def solve(top, rhs_alpha):
+        r_val, r_eps = _stack_dual([[t] for t in top] + [[rhs_alpha]] + [[0.0]] * k, n_pts)
+        x0 = pinv @ r_val
+        x1 = pinv @ (r_eps - s_eps @ x0)
+        return x0[:, :d, 0], x1[:, :d, 0]
+
+    reeb0, reeb1 = solve([0.0] * d, 1.0)
+    if h is None:
+        return (reeb0, reeb1), None
+    dh = []
+    for a in range(d):
+        coords = [Dual(base[b], 1.0 if b == a else 0.0) for b in range(d)]
+        dh.append(epsilon(h.fn(coords)))
+    dh_reeb = sum(dh[a] * Dual(reeb0[:, a], reeb1[:, a]) for a in range(d))
+    # dalpha(X, e_a) = -(Omega X)_a, so i_X dalpha = -dH + (i_R dH) alpha
+    # reads (Omega X)_a = dH_a - (i_R dH) w_a row by row
+    field = solve([dh[a] - dh_reeb * alpha_coef[a] for a in range(d)], h.fn(base))
+    return (reeb0, reeb1), field
 
 
 def reeb_with_derivative(m: ContactManifold, p, dp):
     """Reeb field and its directional derivative along dp."""
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 1
-    q = np.atleast_2d(p)
-    dq = np.atleast_2d(np.asarray(dp, dtype=float))
-    omega, alpha_coef, cgrads, _ = _ambient_data(m, q, dq)
-    x0, x1 = _solve_contact_system(m, omega, alpha_coef, cgrads,
-                                   [0.0] * m.ambient_dim, 1.0, q.shape[0])
+    (x0, x1), _ = _contact_solve(m, np.atleast_2d(p),
+                                 np.atleast_2d(np.asarray(dp, dtype=float)))
     return (x0[0], x1[0]) if scalar else (x0, x1)
 
 
@@ -396,21 +424,6 @@ def hamiltonian_field_with_derivative(m: ContactManifold, h: ScalarField, p, dp)
     """
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 1
-    q = np.atleast_2d(p)
-    dq = np.atleast_2d(np.asarray(dp, dtype=float))
-    n_pts = q.shape[0]
-    d = m.ambient_dim
-    omega, alpha_coef, cgrads, base = _ambient_data(m, q, dq)
-    reeb0, reeb1 = reeb_with_derivative(m, q, dq)
-    hval = h.fn(base)
-    dh = []
-    for a in range(d):
-        coords = [Dual(base[b], 1.0 if b == a else 0.0) for b in range(d)]
-        dh.append(epsilon(h.fn(coords)))
-    reeb = [Dual(reeb0[:, a], reeb1[:, a]) for a in range(d)]
-    dh_reeb = sum(dh[a] * reeb[a] for a in range(d))
-    # dalpha(X, e_a) = -(Omega X)_a, so i_X dalpha = -dH + (i_R dH) alpha
-    # reads (Omega X)_a = dH_a - (i_R dH) w_a row by row
-    rhs_top = [dh[a] - dh_reeb * alpha_coef[a] for a in range(d)]
-    x0, x1 = _solve_contact_system(m, omega, alpha_coef, cgrads, rhs_top, hval, n_pts)
+    _, (x0, x1) = _contact_solve(m, np.atleast_2d(p),
+                                 np.atleast_2d(np.asarray(dp, dtype=float)), h)
     return (x0[0], x1[0]) if scalar else (x0, x1)

@@ -165,6 +165,21 @@ def test_orbit_coverage_separates_circle_from_dense_flow(sphere, torus):
     assert orbit_coverage(dense, 8, reference=slab) == pytest.approx(1.0)
 
 
+def test_coverage_cache_is_bounded_and_keeps_hitting(sphere, monkeypatch):
+    monkeypatch.setattr(flows, "_COVERAGE_CACHE", {})
+    monkeypatch.setattr(flows, "_REFERENCE_COUNT", 256)
+    cap = flows._COVERAGE_CACHE_SIZE
+    for seed in range(cap + 2):
+        census = flows._reference_census(sphere, 4, seed)
+    assert len(flows._COVERAGE_CACHE) == cap
+    assert (sphere.key(), 4, 0) not in flows._COVERAGE_CACHE
+    sampled = []
+    monkeypatch.setattr(type(sphere), "random_points",
+                        lambda self, count, rng: sampled.append(count))
+    assert flows._reference_census(sphere, 4, cap + 1) is census
+    assert sampled == [] and len(flows._COVERAGE_CACHE) == cap
+
+
 def test_orbit_coverage_against_invariant_torus_reference(golden):
     start = sample(golden, 1)[0]
     traj = integrate_flow(golden, golden_field(golden), start, 150.0,

@@ -40,6 +40,12 @@ def test_degenerate_form_zero_defect_and_no_reeb():
     assert np.allclose(m.contact_defect(pts), 0.0, atol=1e-14)
     with pytest.raises(ContactDegeneracyError):
         m.reeb_field(pts)
+    vecs = np.tile([1.0, 0.0, 0.0], (len(pts), 1))
+    with pytest.raises(ContactDegeneracyError):
+        reeb_with_derivative(m, pts, vecs)
+    h = ScalarField(lambda c: np.cos(c[0]) + np.sin(c[2]), 3)
+    with pytest.raises(ContactDegeneracyError):
+        hamiltonian_field_with_derivative(m, h, pts, vecs)
 
 
 def test_projection_lands_on_constraints(sphere, golden):
@@ -115,6 +121,55 @@ def test_hamiltonian_field_derivative_value_agrees_with_frame_solver(sphere):
     vecs = sphere.random_tangents(pts, np.random.default_rng(3))
     val, _ = hamiltonian_field_with_derivative(sphere, h.field, pts, vecs)
     assert np.max(np.abs(val - hamiltonian_to_field(h, pts))) < 1e-12
+
+
+def test_hamiltonian_field_derivative_matches_finite_difference(golden):
+    from contactkit.hamiltonian import hamiltonian, hamiltonian_to_field
+    h = hamiltonian(golden, lambda c: c[0] * c[1] - 0.5 * c[2] * c[2] + c[3], name="test")
+    pts = sample(golden, 20)
+    vecs = golden.random_tangents(pts, np.random.default_rng(13))
+    _, dual = hamiltonian_field_with_derivative(golden, h.field, pts, vecs)
+    step = 1e-6
+    plus = hamiltonian_to_field(h, golden.project(pts + step * vecs))
+    minus = hamiltonian_to_field(h, golden.project(pts - step * vecs))
+    fd = (plus - minus) / (2 * step)
+    assert np.max(np.abs(dual - fd)) < 1e-5
+
+
+def test_each_call_builds_its_contact_system_once(golden, monkeypatch):
+    from contactkit import manifold
+    from contactkit.hamiltonian import (bracket, bracket_hamiltonian, hamiltonian,
+                                        hamiltonian_to_field)
+    counts = {"frame": 0, "ambient": 0}
+    tangent_frame, ambient_data = manifold.ContactManifold.tangent_frame, manifold._ambient_data
+
+    def counted_frame(self, pts):
+        counts["frame"] += 1
+        return tangent_frame(self, pts)
+
+    def counted_ambient(*args):
+        counts["ambient"] += 1
+        return ambient_data(*args)
+
+    monkeypatch.setattr(manifold.ContactManifold, "tangent_frame", counted_frame)
+    monkeypatch.setattr(manifold, "_ambient_data", counted_ambient)
+    h1 = hamiltonian(golden, lambda c: c[0] * c[1], name="h1")
+    h2 = hamiltonian(golden, lambda c: c[2] - c[3] * c[0], name="h2")
+    pts = sample(golden, 5)
+    vecs = golden.random_tangents(pts, np.random.default_rng(2))
+
+    def builds(call):
+        counts.update(frame=0, ambient=0)
+        call()
+        return counts["frame"], counts["ambient"]
+
+    assert builds(lambda: hamiltonian_to_field(h1, pts)) == (1, 0)
+    assert builds(lambda: bracket(h1, h2, pts)) == (1, 0)
+    assert builds(lambda: golden.reeb_residuals(pts)) == (1, 0)
+    assert builds(lambda: reeb_with_derivative(golden, pts, vecs)) == (0, 1)
+    assert builds(lambda: hamiltonian_field_with_derivative(golden, h1.field, pts, vecs)) == (0, 1)
+    nested = bracket_hamiltonian(h1, h2)
+    assert builds(lambda: nested.field.directional(pts, vecs)) == (0, 1)
 
 
 def test_wrap_is_periodic_identity_on_torus(torus):
