@@ -7,6 +7,13 @@ derivatives.  Both parts may be floats, numpy arrays of matching shape
 derivatives).  numpy ufuncs such as ``np.sin`` dispatch to the methods
 defined here, so scalar field code written with numpy works unchanged
 on Dual inputs.
+
+One pass can carry many seeds.  A seed with a leading direction axis,
+``eps`` of shape ``(k,)`` at a single point or ``(k, N)`` on a batch,
+gives k directional derivatives at once: the eps part of every result
+has that axis in front.  numpy broadcasting carries it through the
+arithmetic below unchanged.  A nested layer puts its own axis in front
+of the inner one's, so its eps parts, Duals again, carry both.
 """
 
 from __future__ import annotations
@@ -72,6 +79,8 @@ class Dual:
             raise TypeError("dual exponents are not supported")
         if isinstance(k, int) or (isinstance(k, float) and k == int(k)):
             k = int(k)
+            if k == 0:
+                return Dual(self.val ** 0, 0.0 * self.eps)
             return Dual(self.val ** k, k * self.val ** (k - 1) * self.eps)
         return Dual(self.val ** k, k * self.val ** (k - 1.0) * self.eps)
 
@@ -136,24 +145,24 @@ def epsilon(x):
     return x.eps if isinstance(x, Dual) else 0.0
 
 
-def seed(coords, direction):
-    """Coordinate list seeded for one directional derivative.
+def _ndim(x):
+    """Largest number of array axes anywhere in x."""
+    if isinstance(x, Dual):
+        return max(_ndim(x.val), _ndim(x.eps))
+    return np.ndim(x)
 
-    coords and direction are sequences of equal length; entries may be
-    floats, arrays, or Duals (nesting).
+
+def seed(coords, directions=None):
+    """Coordinate list seeded for derivatives along directions, in one pass.
+
+    directions[a] is the seed of coordinate a: shaped like it for one
+    directional derivative, or with a leading axis of k entries for k
+    at once.  Without directions every coordinate is seeded along its
+    unit vector, so the eps part of a result is the gradient, direction
+    axis first and in front of any axes the coordinates already carry.
+    Entries of coords may be floats, arrays, or Duals (nesting).
     """
-    return [Dual(c, e) for c, e in zip(coords, direction)]
-
-
-def directional(fn, coords, direction):
-    """Directional derivative of fn at coords along direction."""
-    return epsilon(fn(seed(coords, direction)))
-
-
-def gradient(fn, coords):
-    """Gradient of fn: one pass per coordinate with a unit seed."""
-    out = []
-    for a in range(len(coords)):
-        d = [1.0 if b == a else 0.0 for b in range(len(coords))]
-        out.append(epsilon(fn(seed(coords, d))))
-    return out
+    if directions is None:
+        depth = max(_ndim(c) for c in coords)
+        directions = np.eye(len(coords)).reshape((len(coords),) * 2 + (1,) * depth)
+    return [Dual(c, e) for c, e in zip(coords, directions)]

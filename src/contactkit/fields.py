@@ -8,6 +8,13 @@ written with numpy-compatible arithmetic so every mode works unchanged.
 
 Public evaluation methods take points as arrays of shape ``(d,)`` or
 ``(N, d)`` and return scalars or ``(N,)``/``(N, d)`` arrays.
+
+Every derivative is one evaluation of the coefficient function, seeded
+along all its directions at once (see :mod:`contactkit.dual`): the
+direction axis comes first in the eps parts, so ``gradient`` takes the
+d unit vectors, ``dmatrix`` the frame vectors and ``two_form`` the pair
+``(u, w)`` in a single pass, and ``directional`` accepts vectors with
+one extra leading axis of k directions.
 """
 
 from __future__ import annotations
@@ -30,6 +37,12 @@ def split_point(pts: np.ndarray):
     return [pts[:, a] for a in range(pts.shape[1])], False
 
 
+def _stack(entries, shape):
+    """Numbers or arrays broadcast to shape and stacked on a last axis."""
+    return np.stack([np.broadcast_to(np.asarray(c, dtype=float), shape) for c in entries],
+                    axis=-1)
+
+
 class ScalarField:
     """Real function of ambient coordinates with exact derivatives."""
 
@@ -50,33 +63,33 @@ class ScalarField:
         return np.broadcast_to(np.asarray(out, dtype=float), coords[0].shape).copy()
 
     def directional(self, pts, vecs):
-        """Derivative along vecs; shapes follow pts."""
-        coords, scalar = split_point(pts)
-        vcols, _ = split_point(vecs)
-        out = epsilon(self.fn(seed(coords, vcols)))
-        if scalar:
-            return float(out)
-        return np.broadcast_to(np.asarray(out, dtype=float), coords[0].shape).copy()
+        """Derivative along vecs, shaped like pts without its last axis.
+
+        vecs with one more leading axis, (k, d) or (k, N, d), gives the k
+        directional derivatives of one pass, shape (k,) or (k, N).
+        """
+        pts = np.asarray(pts, dtype=float)
+        vecs = np.asarray(vecs, dtype=float)
+        coords, _ = split_point(pts)
+        out = epsilon(self.fn(seed(coords, [vecs[..., a] for a in range(self.dim)])))
+        shape = np.broadcast_shapes(vecs.shape[:-1], pts.shape[:-1])
+        out = np.broadcast_to(np.asarray(out, dtype=float), shape)
+        return float(out) if shape == () else out.copy()
 
     def gradient(self, pts):
-        coords, scalar = split_point(pts)
-        cols = []
-        for a in range(self.dim):
-            direction = [1.0 if b == a else 0.0 for b in range(self.dim)]
-            cols.append(epsilon(self.fn(seed(coords, direction))))
-        if scalar:
-            return np.array([float(c) for c in cols])
-        n = coords[0].shape[0]
-        return np.column_stack([np.broadcast_to(np.asarray(c, dtype=float), (n,)) for c in cols])
+        pts = np.asarray(pts, dtype=float)
+        coords, _ = split_point(pts)
+        grad = np.broadcast_to(np.asarray(epsilon(self.fn(seed(coords))), dtype=float),
+                               (self.dim,) + pts.shape[:-1])
+        return np.ascontiguousarray(np.moveaxis(grad, 0, -1))
 
     def d(self) -> "OneForm":
         """Exterior derivative as a one-form with AD coefficients."""
         def coefs(coords):
-            out = []
-            for a in range(self.dim):
-                direction = [1.0 if b == a else 0.0 for b in range(self.dim)]
-                out.append(epsilon(self.fn(seed(coords, direction))))
-            return out
+            grad = epsilon(self.fn(seed(coords)))
+            if isinstance(grad, Dual):
+                return [Dual(grad.val[a], grad.eps[a]) for a in range(self.dim)]
+            return list(np.broadcast_to(grad, (self.dim,) + np.shape(grad)[1:]))
         return OneForm(coefs, self.dim, name=f"d({self.name})" if self.name else "")
 
     # pointwise algebra, used to build products of Hamiltonians
@@ -130,11 +143,7 @@ class OneForm:
 
     def coefficients(self, pts):
         coords, scalar = split_point(pts)
-        out = self.coef_fn(coords)
-        if scalar:
-            return np.array([float(c) for c in out])
-        n = coords[0].shape[0]
-        return np.column_stack([np.broadcast_to(np.asarray(c, dtype=float), (n,)) for c in out])
+        return _stack(self.coef_fn(coords), () if scalar else coords[0].shape)
 
     def __call__(self, pts, vecs):
         coefs = self.coefficients(pts)
@@ -142,36 +151,30 @@ class OneForm:
         return np.sum(coefs * vecs, axis=-1)
 
     def coefficient_derivative(self, coords, direction):
-        """Directional derivative of each coefficient along direction."""
+        """Directional derivative of each coefficient along direction; a
+        direction with a leading axis of k seeds gives all k in one pass."""
         return [epsilon(c) for c in self.coef_fn(seed(coords, direction))]
 
     def two_form(self, pts, u, w):
         """Exterior derivative paired with two vectors: d(form)(u, w)."""
-        coords, scalar = split_point(pts)
-        ucols, _ = split_point(u)
-        wcols, _ = split_point(w)
-        du = self.coefficient_derivative(coords, ucols)
-        dw = self.coefficient_derivative(coords, wcols)
-        out = sum(du[a] * wcols[a] - dw[a] * ucols[a] for a in range(self.dim))
-        if scalar:
-            return float(out)
-        return np.broadcast_to(np.asarray(out, dtype=float), coords[0].shape).copy()
+        pts = np.asarray(pts, dtype=float)
+        q = np.atleast_2d(pts)
+        pair = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(w, dtype=float), q)
+        out = self.dmatrix(q, np.stack(pair[:2], axis=1))[:, 0, 1]
+        return float(out[0]) if pts.ndim == 1 else out
 
     def dmatrix(self, pts, frame):
         """Matrix d(form)(e_i, e_j) over a frame.
 
         pts has shape (N, d) and frame (N, m, d); returns (N, m, m).
-        The construction uses one AD pass per frame vector.
+        One AD pass carries all m frame vectors.
         """
         pts = np.asarray(pts, dtype=float)
         frame = np.asarray(frame, dtype=float)
         coords = [pts[:, a] for a in range(self.dim)]
-        n, m, d = frame.shape
-        deriv = np.empty((n, m, d))
-        for i in range(m):
-            cols = self.coefficient_derivative(coords, [frame[:, i, a] for a in range(d)])
-            for a in range(d):
-                deriv[:, i, a] = np.broadcast_to(np.asarray(cols[a], dtype=float), (n,))
+        deriv = self.coefficient_derivative(coords, [frame[:, :, a].T for a in range(self.dim)])
+        deriv = _stack(deriv, (frame.shape[1], frame.shape[0]))
+        deriv = np.ascontiguousarray(np.swapaxes(deriv, 0, 1))
         a_mat = np.einsum("nia,nja->nij", deriv, frame)
         return a_mat - np.swapaxes(a_mat, 1, 2)
 
@@ -197,11 +200,7 @@ class VectorField:
 
     def __call__(self, pts):
         coords, scalar = split_point(pts)
-        out = self.comp_fn(coords)
-        if scalar:
-            return np.array([float(c) for c in out])
-        n = coords[0].shape[0]
-        return np.column_stack([np.broadcast_to(np.asarray(c, dtype=float), (n,)) for c in out])
+        return _stack(self.comp_fn(coords), () if scalar else coords[0].shape)
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:

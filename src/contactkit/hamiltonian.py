@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import Dual, epsilon, value
+from .dual import Dual, epsilon, seed, value
 from .fields import ScalarField
 from .manifold import (
     ContactManifold,
@@ -99,8 +99,7 @@ def _field_and_dh_reeb(h: Hamiltonian, q: np.ndarray, tol: float) -> tuple:
     hvals = np.asarray(h.field(q), dtype=float)
     if hvals.ndim == 0:
         hvals = np.full(n_pts, float(hvals))
-    dh_frame = np.stack([h.field.directional(q, frame[:, j, :]) for j in range(k)],
-                        axis=1)
+    dh_frame = np.ascontiguousarray(h.field.directional(q, np.swapaxes(frame, 0, 1)).T)
     dh_reeb = np.einsum("nj,nj->n", dh_frame, r)
 
     system = np.empty((n_pts, k + 1, k))
@@ -139,54 +138,40 @@ def bracket(h1: Hamiltonian, h2: Hamiltonian, pts) -> np.ndarray:
 
 
 def _coords_to_seeded_point(coords):
-    """Split possibly-Dual coordinates into base points and a seed matrix."""
-    vals = [np.asarray(value(c), dtype=float) for c in coords]
-    eps = [np.asarray(value(epsilon(c)), dtype=float) for c in coords]
-    vals = np.broadcast_arrays(*vals)
-    shape = vals[0].shape
-    eps = [np.broadcast_to(e, shape) for e in eps]
-    p = np.stack(vals, axis=-1)
-    dp = np.stack(eps, axis=-1)
-    return p, dp
-
-
-def _dual_gradient_contract(field: ScalarField, base, direction):
-    """dF(direction) where base coordinates and direction are Duals."""
-    d = len(base)
-    total = None
-    for a in range(d):
-        coords = [Dual(base[b], 1.0 if b == a else 0.0) for b in range(d)]
-        partial = epsilon(field.fn(coords))
-        term = partial * direction[a]
-        total = term if total is None else total + term
-    return total
+    """Split one-layer Dual coordinates into points (..., d) and seeds
+    (..., d), or (k, ..., d) for coordinates that carry k seeds."""
+    vals = np.broadcast_arrays(*[np.asarray(value(c), dtype=float) for c in coords])
+    eps = np.broadcast_arrays(vals[0], *[np.asarray(value(epsilon(c)), dtype=float)
+                                         for c in coords])[1:]
+    return np.stack(vals, axis=-1), np.stack(eps, axis=-1)
 
 
 def bracket_hamiltonian(h1: Hamiltonian, h2: Hamiltonian) -> Hamiltonian:
     """The bracket as a Hamiltonian, differentiable through dual seeding.
 
     Plain float coordinates use the batched frame solver; coordinates
-    carrying one dual layer route through one ambient seeded solve so
-    nested brackets (Jacobi identity checks) stay differentiable.
+    carrying one dual layer, with one seed or k at once, route through
+    one ambient seeded solve, which also returns dH1(R), so nested
+    brackets (Jacobi identity checks) stay differentiable.
     """
     m = h1.manifold
+    d = m.ambient_dim
 
     def fn(coords):
         if not any(isinstance(c, Dual) for c in coords):
-            pts, scalar_flag = split_point_coords(coords, m.ambient_dim)
+            pts, scalar_flag = split_point_coords(coords, d)
             out = bracket(h1, h2, pts)
             return out if not scalar_flag else float(out)
         p, dp = _coords_to_seeded_point(coords)
-        (reeb0, reeb1), (x10, x11) = _contact_solve(m, np.atleast_2d(p), np.atleast_2d(dp),
-                                                    h1.field)
-        if p.ndim == 1:
-            reeb0, reeb1, x10, x11 = reeb0[0], reeb1[0], x10[0], x11[0]
-        base = [Dual(p[..., a], dp[..., a]) for a in range(m.ambient_dim)]
-        reeb = [Dual(reeb0[..., a], reeb1[..., a]) for a in range(m.ambient_dim)]
-        x1 = [Dual(x10[..., a], x11[..., a]) for a in range(m.ambient_dim)]
-        dh1_reeb = _dual_gradient_contract(h1.field, base, reeb)
-        dh2_x1 = _dual_gradient_contract(h2.field, base, x1)
-        return dh1_reeb * h2.field.fn(base) - dh2_x1
+        single = p.ndim == 1
+        if single:
+            p, dp = p[None], dp[..., None, :]
+        _, x1, dh1_reeb = _contact_solve(m, p, dp, h1.field)
+        base = seed([p[:, a] for a in range(d)], [dp[..., a] for a in range(d)])
+        dh2_x1 = epsilon(h2.field.fn(seed(base, [Dual(x1.val[:, a], x1.eps[..., a])
+                                                 for a in range(d)])))
+        out = dh1_reeb * h2.field.fn(base) - dh2_x1
+        return Dual(out.val[0], out.eps[..., 0]) if single else out
 
     invariant = True if (h1.reeb_invariant and h2.reeb_invariant) else None
     return hamiltonian(m, fn, name=f"[{h1.name or 'H1'},{h2.name or 'H2'}]",

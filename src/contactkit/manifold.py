@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dual import Dual, epsilon, value
-from .fields import OneForm, ScalarField, split_point
+from .dual import Dual, epsilon, seed, value
+from .fields import OneForm, ScalarField, _stack
 
 
 class GeometryError(Exception):
@@ -240,18 +240,9 @@ class ContactManifold:
         frame, _, _, r = self.frame_system(q)
         reeb = np.einsum("ni,nia->na", r, frame)
         alpha_res = np.abs(self.form(q, reeb) - 1.0)
-        coords = [q[:, a] for a in range(self.ambient_dim)]
-        d_reeb = self.form.coefficient_derivative(coords, [reeb[:, a] for a in range(self.ambient_dim)])
-        d_reeb = np.column_stack([np.broadcast_to(np.asarray(c, dtype=float), (q.shape[0],))
-                                  for c in d_reeb])
-        pair_res = np.zeros(q.shape[0])
-        for i in range(self.dim):
-            ei = frame[:, i, :]
-            d_ei = self.form.coefficient_derivative(coords, [ei[:, a] for a in range(self.ambient_dim)])
-            d_ei = np.column_stack([np.broadcast_to(np.asarray(c, dtype=float), (q.shape[0],))
-                                    for c in d_ei])
-            val = np.einsum("na,na->n", d_reeb, ei) - np.einsum("na,na->n", d_ei, reeb)
-            pair_res = np.maximum(pair_res, np.abs(val))
+        # d alpha over the frame (R, e_1, ..., e_m): its first row is d alpha(R, e_i)
+        pairing = self.form.dmatrix(q, np.concatenate([reeb[:, None], frame], axis=1))[:, 0, 1:]
+        pair_res = np.max(np.abs(pairing), axis=1)
         tang_res = np.zeros(q.shape[0])
         if self.constraints:
             grads = self.constraint_gradients(q)
@@ -314,50 +305,55 @@ def _bordered_wedge(a: np.ndarray, dmat: np.ndarray, n: int) -> np.ndarray:
 
 # ambient-system solvers, differentiable through dual seeding; used by
 # tangent transport along flows where the SVD route cannot carry duals.
-# Batched over points: p and dp of shape (N, d) give (N, ...) outputs.
+# Batched over points: p (N, d) with dp (N, d), or (k, N, d) for k seeds
+# at once, gives Duals with values (N, ...) and eps parts (N, ...) or
+# (k, N, ...).
 
 
-def _as_plane(x, n_pts):
-    """Broadcast a Dual-or-number entry to (value, eps) rows of length n_pts."""
-    v = np.broadcast_to(np.asarray(value(x), dtype=float), (n_pts,))
-    e = np.broadcast_to(np.asarray(value(epsilon(x)), dtype=float), (n_pts,))
-    return v, e
+def _linear(f, *xs):
+    """A linear map applied alike to the value and eps parts of Duals."""
+    return Dual(f(*(x.val for x in xs)), f(*(x.eps for x in xs)))
 
 
-def _stack_dual(entries, n_pts):
-    """Nested list of Dual entries -> value and eps arrays (N, rows, cols)."""
-    rows = len(entries)
-    cols = len(entries[0])
-    val = np.empty((n_pts, rows, cols))
-    eps = np.empty((n_pts, rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            v, e = _as_plane(entries[i][j], n_pts)
-            val[:, i, j] = v
-            eps[:, i, j] = e
-    return val, eps
+def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
+    """The ambient contact system at p, seeded along dp, from one pass.
 
-
-def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray):
-    """Entries of the ambient contact system at p, seeded along dp.
-
-    omega[a][b] is the antisymmetrized coefficient derivative
-    d_a w_b - d_b w_a, alpha_coef the form coefficients, cgrads[k][a]
-    the constraint gradients; every entry is a Dual whose eps part is
-    the dp-directional derivative.
+    p is seeded along dp and the d unit directions are put in front, so
+    one evaluation of the form, the constraints and h gives the values
+    and gradients together with their dp-derivatives.  Returns (S, H, dH):
+    S (N, d+1+k, d+k) has rows [Omega, -grads^T], [alpha, 0], [grads, 0]
+    with Omega[a, b] = d_a w_b - d_b w_a; H (N,) and dH (N, d) are h's
+    value and gradient, or None without h.  Each is a Dual of arrays
+    whose eps part is the dp-derivative.
     """
     d = m.ambient_dim
-    base = [Dual(p[:, a], dp[:, a]) for a in range(d)]
-    partial = []
-    cgrads = [[None] * d for _ in m.constraints]
-    for a in range(d):
-        coords = [Dual(base[b], 1.0 if b == a else 0.0) for b in range(d)]
-        partial.append([epsilon(c) for c in m.form.coef_fn(coords)])
-        for k, c in enumerate(m.constraints):
-            cgrads[k][a] = epsilon(c.fn(coords))
-    omega = [[partial[a][b] - partial[b][a] for b in range(d)] for a in range(d)]
-    alpha_coef = list(m.form.coef_fn(base))
-    return omega, alpha_coef, cgrads, base
+    n_pts = p.shape[0]
+    lead = dp.shape[:-2]
+    coords = seed(seed([p[:, a] for a in range(d)], [dp[..., a] for a in range(d)]))
+    out = list(m.form.coef_fn(coords)) + [c.fn(coords) for c in m.constraints]
+    if h is not None:
+        out.append(h.fn(coords))
+    outer = [(x.val, x.eps) if isinstance(x, Dual) else (x, 0.0) for x in out]
+    vals = Dual(_stack([value(v) for v, _ in outer], (n_pts,)),
+                _stack([epsilon(v) for v, _ in outer], lead + (n_pts,)))
+    # gradients carry the direction axis in front of dp's axes; their
+    # values do not vary along dp's axes
+    grad_val = _stack([value(g) for _, g in outer], (d,) + (1,) * len(lead) + (n_pts,))
+    grad_eps = _stack([epsilon(g) for _, g in outer], (d,) + lead + (n_pts,))
+    grads = Dual(np.moveaxis(grad_val.reshape(d, n_pts, -1), 0, -2),
+                 np.moveaxis(grad_eps, 0, -2))
+    k = len(m.constraints)
+
+    def assemble(v, g):
+        coef, cons = g[..., :d], g[..., d:d + k]
+        return np.block([[coef - np.swapaxes(coef, -1, -2), -cons],
+                         [v[..., None, :d], np.zeros(v.shape[:-1] + (1, k))],
+                         [np.swapaxes(cons, -1, -2), np.zeros(v.shape[:-1] + (k, k))]])
+
+    system = _linear(assemble, vals, grads)
+    if h is None:
+        return system, None, None
+    return system, _linear(lambda v: v[..., -1], vals), _linear(lambda g: g[..., -1], grads)
 
 
 def _contact_solve(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
@@ -367,19 +363,13 @@ def _contact_solve(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
     omega X - grads^T mu = top, alpha . X = rhs_alpha, grads . X = 0.
     S is factorised once; each field takes its own right-hand side,
     value x0 = S^+ r and derivative x1 = S^+ (r_eps - S_eps x0).  Returns
-    ((reeb, d_reeb), (X_H, d_X_H) or None), each array (N, d).  Raises
-    ContactDegeneracyError where S loses column rank.
+    (R, X_H, dH(R)) as Duals of arrays, fields (N, d), the last two None
+    without h.  Raises ContactDegeneracyError where S loses column rank.
     """
-    n_pts = p.shape[0]
-    d = m.ambient_dim
-    omega, alpha_coef, cgrads, base = _ambient_data(m, p, dp)
-    k = len(cgrads)
-    entries = [[omega[a][b] for b in range(d)] + [-1.0 * cgrads[j][a] for j in range(k)]
-               for a in range(d)]
-    entries.append(list(alpha_coef) + [0.0] * k)
-    entries += [list(cgrads[j]) + [0.0] * k for j in range(k)]
-    s_val, s_eps = _stack_dual(entries, n_pts)
-    u, sv, vh = np.linalg.svd(s_val, full_matrices=False)
+    n_pts, d = p.shape
+    k = len(m.constraints)
+    system, hval, dh = _ambient_data(m, p, dp, h)
+    u, sv, vh = np.linalg.svd(system.val, full_matrices=False)
     if np.any(sv[:, -1] <= DEGENERACY_RTOL * sv[:, 0]):
         raise ContactDegeneracyError(
             "ambient contact system is rank deficient; the form is not contact there")
@@ -388,32 +378,30 @@ def _contact_solve(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
     pinv = np.swapaxes(vh, -1, -2) @ ((1.0 / sv)[..., None] * np.swapaxes(u, -1, -2))
 
     def solve(top, rhs_alpha):
-        r_val, r_eps = _stack_dual([[t] for t in top] + [[rhs_alpha]] + [[0.0]] * k, n_pts)
-        x0 = pinv @ r_val
-        x1 = pinv @ (r_eps - s_eps @ x0)
-        return x0[:, :d, 0], x1[:, :d, 0]
+        rhs = _linear(lambda t, a: np.concatenate([t, a[..., None], np.zeros(a.shape + (k,))], -1),
+                      top, rhs_alpha)
+        x0 = pinv @ rhs.val[..., None]
+        x1 = pinv @ (rhs.eps[..., None] - system.eps @ x0)
+        return Dual(x0[:, :d, 0], x1[..., :d, 0])
 
-    reeb0, reeb1 = solve([0.0] * d, 1.0)
+    zeros = np.zeros((n_pts, d))
+    reeb = solve(Dual(zeros, zeros), Dual(np.ones(n_pts), np.zeros(n_pts)))
     if h is None:
-        return (reeb0, reeb1), None
-    dh = []
-    for a in range(d):
-        coords = [Dual(base[b], 1.0 if b == a else 0.0) for b in range(d)]
-        dh.append(epsilon(h.fn(coords)))
-    dh_reeb = sum(dh[a] * Dual(reeb0[:, a], reeb1[:, a]) for a in range(d))
+        return reeb, None, None
+    dh_reeb = _linear(lambda x: x.sum(-1), dh * reeb)
     # dalpha(X, e_a) = -(Omega X)_a, so i_X dalpha = -dH + (i_R dH) alpha
     # reads (Omega X)_a = dH_a - (i_R dH) w_a row by row
-    field = solve([dh[a] - dh_reeb * alpha_coef[a] for a in range(d)], h.fn(base))
-    return (reeb0, reeb1), field
+    alpha = _linear(lambda s: s[..., d, :d], system)
+    top = dh - _linear(lambda x: x[..., None], dh_reeb) * alpha
+    return reeb, solve(top, hval), dh_reeb
 
 
 def reeb_with_derivative(m: ContactManifold, p, dp):
     """Reeb field and its directional derivative along dp."""
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 1
-    (x0, x1), _ = _contact_solve(m, np.atleast_2d(p),
-                                 np.atleast_2d(np.asarray(dp, dtype=float)))
-    return (x0[0], x1[0]) if scalar else (x0, x1)
+    reeb, _, _ = _contact_solve(m, np.atleast_2d(p), np.atleast_2d(np.asarray(dp, dtype=float)))
+    return (reeb.val[0], reeb.eps[0]) if scalar else (reeb.val, reeb.eps)
 
 
 def hamiltonian_field_with_derivative(m: ContactManifold, h: ScalarField, p, dp):
@@ -424,6 +412,5 @@ def hamiltonian_field_with_derivative(m: ContactManifold, h: ScalarField, p, dp)
     """
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 1
-    _, (x0, x1) = _contact_solve(m, np.atleast_2d(p),
-                                 np.atleast_2d(np.asarray(dp, dtype=float)), h)
-    return (x0[0], x1[0]) if scalar else (x0, x1)
+    _, field, _ = _contact_solve(m, np.atleast_2d(p), np.atleast_2d(np.asarray(dp, dtype=float)), h)
+    return (field.val[0], field.eps[0]) if scalar else (field.val, field.eps)

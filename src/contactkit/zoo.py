@@ -287,7 +287,7 @@ def _cotangent_chart(f: Callable):
 
 
 def _cotangent_reference(m: ContactManifold, count: int, seed: int):
-    from .dual import Dual, epsilon, value
+    from .dual import epsilon, seed as seeded_along, value
 
     chart = _cotangent_chart(m.params["conformal_exponent"])
     u = _sobol_block(4, count, seed)
@@ -295,22 +295,16 @@ def _cotangent_reference(m: ContactManifold, count: int, seed: int):
     q = _unit_rows(g)
     theta = 2.0 * math.pi * u[:, 3]
 
-    base = chart(q[:, 0], q[:, 1], q[:, 2], theta)
-    pts = np.column_stack([np.asarray(value(c), dtype=float) for c in base])
-
-    # Jacobian of the chart against dA x dtheta via three dual passes:
-    # two orthonormal base directions and the fiber angle
+    # the chart and its Jacobian against dA x dtheta in one pass, seeded
+    # along two orthonormal base directions and the fiber angle
     uq, vq = _base_frame(q[:, 0], q[:, 1], q[:, 2])
-    cols = []
-    for direction in (uq, vq):
-        seeded = chart(Dual(q[:, 0], direction[0]), Dual(q[:, 1], direction[1]),
-                       Dual(q[:, 2], direction[2]), theta)
-        cols.append(np.column_stack([np.asarray(epsilon(c), dtype=float) + 0.0 * theta
-                                     for c in seeded]))
-    seeded = chart(q[:, 0], q[:, 1], q[:, 2], Dual(theta, np.ones(count)))
-    cols.append(np.column_stack([np.asarray(epsilon(c), dtype=float) + 0.0 * theta
-                                 for c in seeded]))
-    jac = np.stack(cols, axis=1)
+    zeros, ones = np.zeros(count), np.ones(count)
+    seeded = chart(*seeded_along([q[:, 0], q[:, 1], q[:, 2], theta],
+                                 [np.stack([uq[i], vq[i], zeros]) for i in range(3)]
+                                 + [np.stack([zeros, zeros, ones])]))
+    pts = np.column_stack([value(c) for c in seeded])
+    jac = np.stack([np.broadcast_to(epsilon(c), (3, count)) for c in seeded], axis=-1)
+    jac = np.swapaxes(jac, 0, 1)
     gram = np.einsum("nia,nja->nij", jac, jac)
     weights = np.sqrt(np.linalg.det(gram))
     return pts, weights, 4.0 * math.pi * 2.0 * math.pi

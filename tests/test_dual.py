@@ -1,13 +1,14 @@
 """Dual-number forward differentiation against hand and finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from contactkit.dual import Dual, directional, epsilon, gradient, seed, value
+from contactkit.dual import Dual, epsilon, seed, value
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 nonzero = st.floats(min_value=0.1, max_value=10.0)
@@ -83,9 +84,9 @@ def test_arctan2_matches_finite_difference():
 def test_gradient_and_directional_helpers():
     fn = lambda c: c[0] * c[0] * c[1] + np.sin(c[2])
     at = [1.5, -2.0, 0.3]
-    g = gradient(fn, at)
+    g = epsilon(fn(seed(at)))
     assert g == pytest.approx([2 * 1.5 * -2.0, 1.5 ** 2, math.cos(0.3)], rel=1e-14)
-    d = directional(fn, at, [1.0, 2.0, -1.0])
+    d = epsilon(fn(seed(at, [1.0, 2.0, -1.0])))
     assert d == pytest.approx(g[0] + 2 * g[1] - g[2], rel=1e-14)
 
 
@@ -93,6 +94,90 @@ def test_seed_keeps_unrelated_entries_plain():
     coords = seed([1.0, 2.0], [0.0, 1.0])
     assert all(isinstance(c, Dual) for c in coords)
     assert epsilon(coords[0]) == 0.0 and epsilon(coords[1]) == 1.0
+
+
+def test_direction_axis_pass_equals_single_seed_passes():
+    fn = lambda c: np.exp(c[0] * c[1]) / (1.0 + c[2] * c[2]) + np.sqrt(c[1] * c[1] + 1.0)
+    rng = np.random.default_rng(3)
+    pts = [rng.normal(size=9) for _ in range(3)]
+    dirs = rng.normal(size=(4, 3, 9))
+    many = epsilon(fn(seed(pts, [dirs[:, a] for a in range(3)])))
+    assert many.shape == (4, 9)
+    for i in range(4):
+        assert np.array_equal(many[i], epsilon(fn(seed(pts, list(dirs[i])))))
+    grad = epsilon(fn(seed(pts)))
+    for a in range(3):
+        unit = [np.full(9, 1.0 if b == a else 0.0) for b in range(3)]
+        assert np.array_equal(grad[a], epsilon(fn(seed(pts, unit))))
+
+
+def test_nested_seed_puts_its_axis_in_front():
+    # f(x, y) = x^2 y at (1.5, -2) with an inner layer of two seeds
+    inner = seed([np.array([1.5]), np.array([-2.0])], [np.array([[1.0], [0.0]]),
+                                                       np.array([[0.0], [1.0]])])
+    out = epsilon((lambda c: c[0] * c[0] * c[1])(seed(inner)))
+    assert np.shape(out.val) == (2, 1, 1) and np.shape(out.eps) == (2, 2, 1)
+    assert out.val[:, 0, 0] == pytest.approx([2 * 1.5 * -2.0, 1.5 ** 2])
+    # the Hessian, outer direction first
+    assert out.eps[:, :, 0] == pytest.approx(np.array([[-4.0, 3.0], [3.0, 0.0]]))
+
+
+def _no_warnings(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call()
+
+
+near_zero = st.one_of(st.just(0.0), st.just(-0.0),
+                      st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False))
+exponents = st.integers(min_value=0, max_value=6)
+
+
+def test_pow_zero_exponent_has_zero_derivative():
+    for k in (0, 0.0):
+        y = _no_warnings(lambda: Dual(0.0, 1.0) ** k)
+        assert value(y) == 1.0 and epsilon(y) == 0.0
+    y = _no_warnings(lambda: Dual(np.array([0.0, 2.0]), np.ones(2)) ** 0)
+    assert np.array_equal(value(y), [1.0, 1.0]) and np.array_equal(epsilon(y), [0.0, 0.0])
+
+
+@given(x=near_zero, k=exponents, e=finite)
+def test_pow_integer_exponent_near_zero_float(x, k, e):
+    y = _no_warnings(lambda: Dual(x, e) ** k)
+    expected = 0.0 if k == 0 else k * x ** (k - 1) * e
+    assert math.isfinite(epsilon(y))
+    assert epsilon(y) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+@given(x=near_zero, k=exponents)
+def test_pow_integer_exponent_near_zero_array_and_axis(x, k):
+    val = np.array([x, 0.0, 0.5])
+    seeds = np.array([[1.0, 1.0, 1.0], [2.0, -1.0, 0.0]])
+    for eps, scale in ((np.ones(3), 1.0), (seeds, seeds)):
+        y = _no_warnings(lambda: Dual(val, eps) ** k)
+        expected = np.zeros(3) if k == 0 else k * val ** (k - 1)
+        assert np.all(np.isfinite(epsilon(y)))
+        assert np.allclose(epsilon(y), expected * scale, rtol=1e-12, atol=1e-300)
+
+
+@given(e=finite)
+def test_abs_at_zero_has_zero_derivative(e):
+    assert epsilon(abs(Dual(0.0, e))) == 0.0
+    y = abs(Dual(np.zeros(3), np.array([[e, 1.0, -1.0], [2.0, e, 0.5]])))
+    assert np.array_equal(epsilon(y), np.zeros((2, 3)))
+
+
+unit_interval = st.floats(min_value=1e-6, max_value=1.0, exclude_min=True)
+
+
+@given(x=unit_interval)
+def test_sqrt_and_log_match_central_differences(x):
+    h = 1e-4 * x
+    for fn, ref in ((np.sqrt, math.sqrt), (np.log, math.log)):
+        fd = (ref(x + h) - ref(x - h)) / (2 * h)
+        assert epsilon(fn(Dual(x, 1.0))) == pytest.approx(fd, rel=1e-7)
+        axis = epsilon(fn(Dual(np.array([x, x]), np.array([[1.0, 2.0], [-1.0, 0.5]]))))
+        assert axis == pytest.approx(np.array([[1.0, 2.0], [-1.0, 0.5]]) * fd, rel=1e-7)
 
 
 def test_abs_and_comparisons_use_value_part():

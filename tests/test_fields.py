@@ -136,3 +136,44 @@ def test_constant_field_everywhere(s):
     pts = np.zeros((3, 3))
     assert np.allclose(f(pts), s)
     assert np.allclose(f.gradient(pts), 0.0)
+
+
+def _zoo_manifolds():
+    from contactkit import zoo
+    return [zoo.standard_sphere(1), zoo.standard_sphere(2), zoo.standard_sphere(3),
+            zoo.torus3(2), zoo.weighted_sphere([1.0, (1.0 + np.sqrt(5.0)) / 2.0]),
+            zoo.unit_cotangent_sphere(), zoo.catalog()["cotangent-bump"](0.3),
+            zoo.degenerate_torus()]
+
+
+def test_vector_seeded_pass_equals_single_direction_passes():
+    # one pass carrying every seed gives the same bits as one pass per seed
+    for m in _zoo_manifolds():
+        pts = m.random_points(12, np.random.default_rng(4))
+        d = m.ambient_dim
+        fields = list(m.constraints) + [
+            ScalarField(lambda c: np.sin(c[0]) * c[1] - c[d - 1] * c[0] / (2.0 + c[1] * c[1]), d)]
+        for f in fields:
+            grad = f.gradient(pts)
+            for a in range(d):
+                unit = np.zeros((len(pts), d))
+                unit[:, a] = 1.0
+                assert np.array_equal(grad[:, a], f.directional(pts, unit)), m.name
+        frame = m.tangent_frame(pts)
+        mat = m.form.dmatrix(pts, frame)
+        for i in range(m.dim):
+            for j in range(m.dim):
+                pair = m.form.two_form(pts, frame[:, i], frame[:, j])
+                assert np.array_equal(mat[:, i, j], pair), m.name
+
+
+def test_directional_takes_a_direction_axis():
+    f = quadratic()
+    pts = rng.normal(size=(5, 3))
+    vecs = rng.normal(size=(4, 5, 3))
+    many = f.directional(pts, vecs)
+    assert many.shape == (4, 5)
+    for i in range(4):
+        assert np.array_equal(many[i], f.directional(pts, vecs[i]))
+    one = f.directional(pts[0], vecs[:, 0])
+    assert one.shape == (4,) and np.array_equal(one, many[:, 0])

@@ -168,3 +168,45 @@ def test_tagged_resolves_invariance_flag():
     assert h.tagged().reeb_invariant is True
     g = hamiltonian(m, lambda c: c[0])
     assert g.tagged().reeb_invariant is False
+
+
+def _golden():
+    return zoo.weighted_sphere([1.0, (1.0 + np.sqrt(5.0)) / 2.0])
+
+
+def test_dual_bracket_evaluates_each_hamiltonian_at_most_twice(torus):
+    for m, fns in (
+        (_golden(), (lambda c: c[0] * c[1] + c[3], lambda c: c[2] - c[3] * c[0])),
+        (torus, (lambda c: np.cos(c[0]) + np.sin(c[2]), lambda c: np.sin(c[1]) * np.cos(c[2]))),
+    ):
+        counts = [0, 0]
+
+        def counted(i):
+            def fn(coords):
+                counts[i] += 1
+                return fns[i](coords)
+            return fn
+
+        nested = bracket_hamiltonian(hamiltonian(m, counted(0)), hamiltonian(m, counted(1)))
+        pts = sample(m, 5)
+        vecs = m.random_tangents(pts, np.random.default_rng(3))
+        nested.field.directional(pts, vecs)
+        assert counts[0] <= 2 and counts[1] <= 2, (m.name, counts)
+
+
+def test_nested_brackets_stay_antisymmetric(torus):
+    # bracket(nested, h3) seeds the nested bracket with every frame vector
+    # at once; bracket(h3, nested) seeds it once along X3
+    golden = _golden()
+    for m, (h1, h2, h3) in (
+        (golden, (hamiltonian(golden, lambda c: c[0] * c[1] + c[3]),
+                  hamiltonian(golden, lambda c: c[2] - c[3] * c[0]),
+                  hamiltonian(golden, lambda c: c[1] * c[1] - 0.5 * c[2]))),
+        (torus, (torus_trig(torus, 1.0, 0.3, 0.0), torus_trig(torus, 0.0, 1.0, -0.5),
+                 hamiltonian(torus, lambda c: c[0] * c[1] * c[1] + c[2]))),
+    ):
+        pts = sample(m, 12)
+        nested = bracket_hamiltonian(h1, h2)
+        left = bracket(nested, h3, pts)
+        right = bracket(h3, nested, pts)
+        assert np.max(np.abs(left + right)) <= 1e-12 * np.max(np.abs(left)), m.name

@@ -188,3 +188,37 @@ def test_cotangent_bump_key_records_the_strength():
     assert bump(0.1).key() != bump(0.3).key()
     assert bump(0.1).key() == bump(0.1).key()
     assert "strength=0.3" in bump(0.3).key()
+
+
+def test_each_derivative_is_one_pass(golden):
+    from dataclasses import replace
+
+    from contactkit.fields import OneForm
+    counts = {"form": 0, "constraint": 0}
+    coef_fn, level = golden.form.coef_fn, golden.constraints[0]
+
+    def counted_form(coords):
+        counts["form"] += 1
+        return coef_fn(coords)
+
+    def counted_level(coords):
+        counts["constraint"] += 1
+        return level.fn(coords)
+
+    m = replace(golden, form=OneForm(counted_form, golden.ambient_dim),
+                constraints=(ScalarField(counted_level, golden.ambient_dim),))
+    pts = sample(golden, 6)
+    vecs = golden.random_tangents(pts, np.random.default_rng(8))
+
+    def passes(call):
+        counts.update(form=0, constraint=0)
+        call()
+        return counts["form"], counts["constraint"]
+
+    for call in (lambda: m.reeb_field(pts), lambda: m.contact_defect(pts),
+                 lambda: reeb_with_derivative(m, pts, vecs)):
+        form, constraint = passes(call)
+        assert form <= 2 and constraint <= 1
+    form, constraint = passes(lambda: m.reeb_residuals(pts))
+    assert form <= 4 and constraint <= 2
+    assert np.array_equal(m.reeb_field(pts), golden.reeb_field(pts))
