@@ -20,7 +20,7 @@ from .integrate import IntegralResult, integrate, contact_volume, default_thread
 from .hamiltonian import (Hamiltonian, hamiltonian, constant_hamiltonian,
                           field_to_hamiltonian, hamiltonian_to_field,
                           is_reeb_invariant, bracket, bracket_hamiltonian,
-                          adjoint)
+                          adjoint, NestedDualError)
 from .flows import (FlowTrajectory, IntegrationError, integrate_flow,
                     flow_points, transported_flow, conformal_factor,
                     strictness_check, birkhoff_average, space_average,
@@ -51,7 +51,7 @@ __all__ = [
     "IntegralResult", "integrate", "contact_volume", "default_threads",
     "Hamiltonian", "hamiltonian", "constant_hamiltonian", "field_to_hamiltonian",
     "hamiltonian_to_field", "is_reeb_invariant", "bracket", "bracket_hamiltonian",
-    "adjoint",
+    "adjoint", "NestedDualError",
     "FlowTrajectory", "IntegrationError", "integrate_flow", "flow_points",
     "transported_flow", "conformal_factor", "strictness_check",
     "birkhoff_average", "space_average", "orbit_coverage", "min_return_distance",

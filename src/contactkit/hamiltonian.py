@@ -137,11 +137,17 @@ def bracket(h1: Hamiltonian, h2: Hamiltonian, pts) -> np.ndarray:
     return vals[0] if pts_arr.ndim == 1 else vals
 
 
+class NestedDualError(TypeError):
+    """Two dual layers reached a bracket Hamiltonian, whose solve differentiates one."""
+
+
 def _coords_to_seeded_point(coords):
     """Split one-layer Dual coordinates into points (..., d) and seeds
     (..., d), or (k, ..., d) for coordinates that carry k seeds."""
+    if any(isinstance(getattr(c, part, None), Dual) for c in coords for part in ("val", "eps")):
+        raise NestedDualError("bracket Hamiltonians differentiate one dual layer, not two")
     vals = np.broadcast_arrays(*[np.asarray(value(c), dtype=float) for c in coords])
-    eps = np.broadcast_arrays(vals[0], *[np.asarray(value(epsilon(c)), dtype=float)
+    eps = np.broadcast_arrays(vals[0], *[np.asarray(epsilon(c), dtype=float)
                                          for c in coords])[1:]
     return np.stack(vals, axis=-1), np.stack(eps, axis=-1)
 
@@ -150,9 +156,9 @@ def bracket_hamiltonian(h1: Hamiltonian, h2: Hamiltonian) -> Hamiltonian:
     """The bracket as a Hamiltonian, differentiable through dual seeding.
 
     Plain float coordinates use the batched frame solver; coordinates
-    carrying one dual layer, with one seed or k at once, route through
-    one ambient seeded solve, which also returns dH1(R), so nested
-    brackets (Jacobi identity checks) stay differentiable.
+    carrying one dual layer, with one seed or k at once, route through one
+    ambient seeded solve, which also returns dH1(R), so nested brackets
+    (Jacobi identity checks) stay differentiable; two raise NestedDualError.
     """
     m = h1.manifold
     d = m.ambient_dim

@@ -8,15 +8,18 @@ single points ``(d,)`` or batches ``(N, d)``.
 Conventions.  Tangent frames are orthonormal and oriented so that the
 constraint gradients followed by the frame give a positively oriented
 ambient basis, times a per-manifold sign chosen by the constructors to
-make the contact volume density positive.  The contact defect at a
-point is alpha ^ (d alpha)^n evaluated on the oriented orthonormal
-frame; for a contact form it is strictly positive.
+make the contact volume density positive; they come from Householder
+reflections of the gradients (see tangent_frame).  The contact defect at
+a point is alpha ^ (d alpha)^n = n! Pf([[0, a], [-a^T, D]]) on the
+oriented orthonormal frame, a and D the values of alpha and d alpha
+there; for a contact form it is strictly positive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -98,10 +101,10 @@ class ContactManifold:
 
     def constraint_gradients(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        k = len(self.constraints)
-        out = np.empty((pts.shape[0], k, self.ambient_dim))
+        coords, shape = seed(list(pts.T)), (self.ambient_dim, pts.shape[0])
+        out = np.empty((pts.shape[0], len(self.constraints), self.ambient_dim))
         for i, c in enumerate(self.constraints):
-            out[:, i, :] = c.gradient(pts)
+            out[:, i, :] = np.broadcast_to(epsilon(c.fn(coords)), shape).T
         return out
 
     def constraint_residual(self, pts) -> np.ndarray:
@@ -150,33 +153,41 @@ class ContactManifold:
     def tangent_frame(self, pts) -> np.ndarray:
         """Oriented orthonormal tangent frames, shape (N, 2n+1, d).
 
-        Deterministic in the input point.  Raises DegenerateFrameError
-        when the constraint gradients lose rank.
+        k Householder reflections take the constraint gradients G to
+        Q^T G^T = R with Q^T = H_{k-1} ... H_0 (none on a free chart); rows
+        k... of Q^T are the frame.  det [G; frame] has the sign of
+        prod_j R_jj (-1)^k, so the last row is flipped where that times
+        frame_sign is negative.  Deterministic in the input point.  Raises
+        DegenerateFrameError when the constraint gradients lose rank.
         """
         pts = np.asarray(pts, dtype=float)
         scalar = pts.ndim == 1
         q = np.atleast_2d(pts)
         n_pts, d = q.shape
-        m = self.dim
         k = len(self.constraints)
-        if k == 0:
-            if d != m:
-                raise GeometryError("free chart dimension mismatch")
-            frame = np.broadcast_to(np.eye(d), (n_pts, d, d)).copy()
-            if self.frame_sign < 0:
-                frame[:, -1, :] *= -1.0
-            return frame[0] if scalar else frame
-
+        if k == 0 and d != self.dim:
+            raise GeometryError("free chart dimension mismatch")
         grads = self.constraint_gradients(q)
-        _, sv, vh = np.linalg.svd(grads, full_matrices=True)
-        if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
-            raise DegenerateFrameError("constraint gradients are linearly dependent")
-        frame = vh[:, k:, :].copy()
-
-        # orient: gradients followed by the frame must have sign frame_sign
-        square = np.concatenate([grads, frame], axis=1)
-        flip = np.sign(np.linalg.det(square)) * self.frame_sign < 0
-        frame[flip, -1, :] *= -1.0
+        if k > 1:
+            sv = np.linalg.svd(grads, compute_uv=False)
+            if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
+                raise DegenerateFrameError("constraint gradients are linearly dependent")
+        qt, orient = np.eye(d), np.full(n_pts, float(self.frame_sign))
+        for j in range(k):
+            x = (qt @ grads[:, j, :, None])[..., 0] if j else grads[:, 0].copy()
+            x[:, :j] = 0.0  # H_{j-1} ... H_0 g_j with its first j entries cut
+            norm = np.sqrt((x * x).sum(1))
+            if not norm.all():  # k = 1's singular value test, ahead of a 0/0
+                raise DegenerateFrameError("constraint gradients are linearly dependent")
+            # v = x + s |x| e_j reflects x to R_jj e_j, R_jj = -s |x|; w = 2 v / |v|^2
+            s = np.copysign(1.0, x[:, j])
+            orient *= s
+            x[:, j] += s * norm
+            w = x / (s * norm * x[:, j])[:, None]
+            qt = qt - w[:, :, None] * (x[:, None, :] @ qt if j else x[:, None, :])
+        frame = np.empty((n_pts, d - k, d))
+        frame[:] = qt[..., k:, :]
+        frame[:, -1] *= orient[:, None]
         return frame[0] if scalar else frame
 
     def contact_defect(self, pts) -> np.ndarray:
@@ -268,39 +279,32 @@ class ContactManifold:
         return v if np.asarray(pts).ndim > 1 else v[0]
 
 
-def _pfaffian(mat: np.ndarray) -> np.ndarray:
-    """Pfaffian of batched antisymmetric matrices (N, 2m, 2m)."""
-    size = mat.shape[-1]
-    if size == 0:
-        return np.ones(mat.shape[0])
-    if size % 2 == 1:
-        return np.zeros(mat.shape[0])
-    if size == 2:
-        return mat[:, 0, 1]
-    total = np.zeros(mat.shape[0])
-    sign = 1.0
-    for j in range(1, size):
-        keep = [i for i in range(size) if i not in (0, j)]
-        sub = mat[np.ix_(range(mat.shape[0]), keep, keep)]
-        total += sign * mat[:, 0, j] * _pfaffian(sub)
-        sign = -sign
-    return total
+@lru_cache(maxsize=None)
+def _matchings(idx: tuple) -> tuple:
+    """The (len - 1)!! perfect matchings of the indices idx as (sign, pairs),
+    pairs ((idx[0], j), ...) in a Pfaffian's expansion along idx[0]."""
+    if not idx:
+        return ((1.0, ()),)
+    return tuple(((-1.0) ** (p + 1) * sign, ((idx[0], idx[p]),) + pairs)
+                 for p in range(1, len(idx))
+                 for sign, pairs in _matchings(idx[1:p] + idx[p + 1:]))
 
 
 def _bordered_wedge(a: np.ndarray, dmat: np.ndarray, n: int) -> np.ndarray:
     """alpha ^ (d alpha)^n on a frame from alpha values and the d alpha matrix.
 
-    Expands along the one-form slot: sum_i (-1)^i a_i n! Pf(D with row
-    and column i removed).
+    Equals n! Pf(B) for the bordered matrix B = [[0, a], [-a^T, D]]: one
+    signed sum over B's (2n+1)!! perfect matchings, each factor read from
+    a (a pair (0, i) is a_{i-1}) or from D, without forming B.
     """
-    m = 2 * n + 1
-    total = np.zeros(a.shape[0])
-    fact = float(math.factorial(n))
-    for i in range(m):
-        keep = [j for j in range(m) if j != i]
-        sub = dmat[np.ix_(range(dmat.shape[0]), keep, keep)]
-        total += ((-1.0) ** i) * a[:, i] * fact * _pfaffian(sub)
-    return total
+    total, term = np.zeros(a.shape[0]), np.empty(a.shape[0])
+    for sign, ((_, i), *pairs) in _matchings(tuple(range(2 * n + 2))):
+        factors = [dmat[:, r - 1, c - 1] for r, c in pairs] or [1.0]
+        np.multiply(a[:, i - 1], factors[0], out=term)
+        for f in factors[1:]:
+            term *= f
+        (np.add if sign > 0 else np.subtract)(total, term, out=total)
+    return math.factorial(n) * total
 
 
 # ambient-system solvers, differentiable through dual seeding; used by

@@ -5,10 +5,11 @@ import pytest
 
 from contactkit import zoo
 from contactkit.fields import VectorField
-from contactkit.hamiltonian import (adjoint, bracket, bracket_hamiltonian,
-                                    constant_hamiltonian, field_to_hamiltonian,
-                                    hamiltonian, hamiltonian_to_field,
-                                    is_reeb_invariant)
+from contactkit.hamiltonian import (NestedDualError, adjoint, bracket,
+                                    bracket_hamiltonian, constant_hamiltonian,
+                                    field_to_hamiltonian, hamiltonian,
+                                    hamiltonian_to_field, is_reeb_invariant)
+from contactkit.manifold import hamiltonian_field_with_derivative
 from conftest import sample
 
 
@@ -210,3 +211,21 @@ def test_nested_brackets_stay_antisymmetric(torus):
         left = bracket(nested, h3, pts)
         right = bracket(h3, nested, pts)
         assert np.max(np.abs(left + right)) <= 1e-12 * np.max(np.abs(left)), m.name
+
+
+def test_second_dual_layer_through_a_bracket_raises():
+    # the contact field derivative of a bracket seeds it twice; so does a
+    # dual evaluation of a doubly nested bracket
+    m = _golden()
+    h1 = hamiltonian(m, lambda c: c[0] * c[1] + c[3])
+    h2 = hamiltonian(m, lambda c: c[2] - c[3] * c[0])
+    h3 = hamiltonian(m, lambda c: c[1] * c[1] - 0.5 * c[2])
+    pts = sample(m, 6)
+    vecs = m.random_tangents(pts, np.random.default_rng(17))
+    nested = bracket_hamiltonian(h1, h2)
+    with pytest.raises(NestedDualError):
+        hamiltonian_field_with_derivative(m, nested.field, pts, vecs)
+    with pytest.raises(NestedDualError):
+        bracket_hamiltonian(h3, nested).field.directional(pts, vecs)
+    # one layer stays supported
+    assert np.all(np.isfinite(nested.field.directional(pts, vecs)))

@@ -1,11 +1,15 @@
 """Contact manifold structure: frames, defects, Reeb solver, projections."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from contactkit import zoo
 from contactkit.fields import ScalarField
-from contactkit.manifold import (ContactDegeneracyError,
+from contactkit.manifold import (ContactDegeneracyError, DegenerateFrameError,
+                                 _bordered_wedge, _matchings,
                                  hamiltonian_field_with_derivative,
                                  reeb_with_derivative)
 from conftest import sample
@@ -222,3 +226,123 @@ def test_each_derivative_is_one_pass(golden):
     form, constraint = passes(lambda: m.reeb_residuals(pts))
     assert form <= 4 and constraint <= 2
     assert np.array_equal(m.reeb_field(pts), golden.reeb_field(pts))
+
+
+# the bordered Pfaffian and the reflection frame
+
+def _cofactor_pfaffian(mat):
+    """Pfaffian by cofactor expansion along the first row: the oracle."""
+    size = mat.shape[-1]
+    if size == 0:
+        return np.ones(mat.shape[0])
+    if size % 2 == 1:
+        return np.zeros(mat.shape[0])
+    total = np.zeros(mat.shape[0])
+    for j in range(1, size):
+        keep = [i for i in range(size) if i not in (0, j)]
+        total += (-1.0) ** (j + 1) * mat[:, 0, j] * _cofactor_pfaffian(mat[:, keep][:, :, keep])
+    return total
+
+
+def _cofactor_wedge(a, dmat, n):
+    """alpha ^ (d alpha)^n as sum_i (-1)^i a_i n! Pf(D without row and column i)."""
+    total = np.zeros(a.shape[0])
+    for i in range(2 * n + 1):
+        keep = [j for j in range(2 * n + 1) if j != i]
+        sub = dmat[:, keep][:, :, keep]
+        total += (-1.0) ** i * a[:, i] * math.factorial(n) * _cofactor_pfaffian(sub)
+    return total
+
+
+def _pfaffian(mat):
+    """Pf(M) = Pf([[0, a], [-a^T, D]]) from the bordered wedge, a = M[0, 1:]."""
+    m = mat.shape[-1] // 2
+    return _bordered_wedge(mat[:, 0, 1:], mat[:, 1:, 1:], m - 1) / math.factorial(m - 1)
+
+
+def _antisymmetric(rng, count, size):
+    x = rng.normal(size=(count, size, size))
+    return x - np.swapaxes(x, 1, 2)
+
+
+def test_pfaffian_squares_to_the_determinant():
+    rng = np.random.default_rng(21)
+    for size in (2, 4, 6, 8):
+        mat = _antisymmetric(rng, 40, size)
+        pf = _pfaffian(mat)
+        det = np.linalg.det(mat)
+        assert np.allclose(pf * pf, det, rtol=1e-10, atol=1e-12 * np.max(np.abs(det))), size
+        assert np.allclose(pf, _cofactor_pfaffian(mat), rtol=1e-12, atol=1e-12), size
+
+
+def test_pfaffian_of_standard_symplectic_form_and_odd_swap():
+    rng = np.random.default_rng(22)
+    for size in (2, 4, 6, 8):
+        j = np.kron(np.eye(size // 2), [[0.0, 1.0], [-1.0, 0.0]])
+        assert np.allclose(_pfaffian(j[None]), 1.0, atol=1e-15), size
+        mat = _antisymmetric(rng, 10, size)
+        perm = np.arange(size)
+        perm[[0, size - 1]] = perm[[size - 1, 0]]
+        swapped = mat[:, perm][:, :, perm]
+        assert np.allclose(_pfaffian(swapped), -_pfaffian(mat), rtol=1e-12, atol=1e-12), size
+
+
+def test_matching_count_is_the_double_factorial():
+    for size, count in ((2, 1), (4, 3), (6, 15), (8, 105)):
+        table = _matchings(tuple(range(size)))
+        assert len(table) == count
+        assert all(sorted(sum(pairs, ())) == list(range(size)) for _, pairs in table)
+
+
+def test_contact_defect_matches_the_cofactor_recursion(sphere, sphere5, golden, cotangent):
+    for m in (sphere, sphere5, zoo.standard_sphere(3), golden, cotangent):
+        pts = sample(m, 300, seed=4)
+        frame = m.tangent_frame(pts)
+        a = np.einsum("na,nia->ni", m.form.coefficients(pts), frame)
+        oracle = _cofactor_wedge(a, m.form.dmatrix(pts, frame), m.n)
+        defect = m.contact_defect(pts)
+        assert np.max(np.abs(defect - oracle) / np.abs(oracle)) <= 1e-12, m.name
+
+
+def _constrained_zoo():
+    return (zoo.standard_sphere(1), zoo.standard_sphere(2), zoo.standard_sphere(3),
+            zoo.weighted_sphere([1.0, (1.0 + np.sqrt(5.0)) / 2.0]),
+            zoo.weighted_sphere([1.0, 2.0, 3.0]), zoo.unit_cotangent_sphere(),
+            zoo.catalog()["cotangent-bump"](0.3))
+
+
+def test_reflection_frame_is_oriented_orthonormal_and_tangent():
+    for m in _constrained_zoo():
+        pts = sample(m, 200, seed=6)
+        frame = m.tangent_frame(pts)
+        gram = np.einsum("nia,nja->nij", frame, frame)
+        assert np.max(np.abs(gram - np.eye(m.dim))) < 1e-13, m.name
+        grads = m.constraint_gradients(pts)
+        assert np.max(np.abs(np.einsum("nka,nia->nki", grads, frame))) < 1e-12, m.name
+        square = np.concatenate([grads, frame], axis=1)
+        assert np.all(np.linalg.det(square) * m.frame_sign > 0.0), m.name
+
+
+def test_reflection_frame_is_the_same_alone_and_in_a_batch():
+    for m in _constrained_zoo():
+        pts = sample(m, 25, seed=7)
+        frame = m.tangent_frame(pts)
+        assert np.array_equal(frame, m.tangent_frame(pts)), m.name
+        for i in (0, 11, 24):
+            assert np.array_equal(m.tangent_frame(pts[i]), frame[i]), m.name
+        assert np.array_equal(m.tangent_frame(pts[5:9]), frame[5:9]), m.name
+
+
+def test_reflection_frame_rank_loss_raises_without_warning(sphere, golden, cotangent):
+    q = np.array([0.6, 0.0, 0.8])
+    cases = [(sphere, np.zeros(4)), (golden, np.zeros(4)),
+             # p = 0 kills the third gradient; p = q makes (p, q) the mean of the others
+             (cotangent, np.concatenate([q, np.zeros(3)])),
+             (cotangent, np.concatenate([q, q]))]
+    for m, bad in cases:
+        batch = np.vstack([sample(m, 3, seed=9), bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pts in (bad, batch):
+                with pytest.raises(DegenerateFrameError):
+                    m.tangent_frame(pts)
