@@ -33,15 +33,17 @@ class IntegrationError(RuntimeError):
 
 # Dormand-Prince 5(4) tableau
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+# row i weights stages j < i in stage i; the last row equals _DP_B5, so
+# stage 7 is the derivative at the 5th-order solution (first same as last)
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                     -17253 / 339200, 22 / 525, -1 / 40])
@@ -131,22 +133,34 @@ def _field_function(m: ContactManifold, field) -> Callable:
 
 
 def _project_step(m: ContactManifold, y: np.ndarray, drift: float) -> tuple:
-    """Project an accepted step back onto the constraint set."""
+    """Project an accepted step back onto the constraint set.
+
+    One seeded pass gives the constraint values and Jacobian at y.  Its
+    values are the pre-projection drift, checked before any Newton
+    update: a step that left the manifold by more than
+    _MAX_PRE_PROJECTION_DRIFT raises IntegrationError.  Newton then
+    starts from the same pass, as in ContactManifold.project.
+    """
     if not m.constraints:
         return y, drift
-    res = float(np.max(m.constraint_residual(y)))
+    q = np.atleast_2d(y).copy()
+    vals, jac = m._constraint_pass(q)
+    res = float(np.max(np.abs(vals)))
     if res > _MAX_PRE_PROJECTION_DRIFT:
         raise IntegrationError(
             f"constraint drift {res:.3e} before projection exceeds "
             f"{_MAX_PRE_PROJECTION_DRIFT:.0e}")
-    return m.project(y), max(drift, res)
+    return m._newton(q, vals, jac).reshape(y.shape), max(drift, res)
 
 
-def _dp_stages(rhs: Callable, y: np.ndarray, h) -> list:
-    """The seven Dormand-Prince stage derivatives of a step of length h from y."""
-    k = [rhs(y)]
+def _dp_stages(rhs: Callable, y: np.ndarray, h) -> np.ndarray:
+    """The seven Dormand-Prince stage derivatives of a step of length h
+    from y, stacked as (7, *y.shape)."""
+    k = np.empty((7,) + y.shape)
+    flat = k.reshape(7, -1)
+    k[0] = rhs(y)
     for i in range(1, 7):
-        k.append(rhs(y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))))
+        k[i] = rhs(y + h * (_DP_A[i, :i] @ flat[:i]).reshape(y.shape))
     return k
 
 
@@ -201,8 +215,8 @@ def integrate_flow(m: ContactManifold, field, start, T: float,
         if h < 1e-14 * max(1.0, t):
             raise IntegrationError(f"step size underflow at t={t:.6g}")
         k = _dp_stages(rhs, y, h)
-        y5 = y + h * sum(b * k[j] for j, b in enumerate(_DP_B5) if b != 0.0)
-        err = h * sum(e * k[j] for j, e in enumerate(_DP_ERR) if e != 0.0)
+        y5 = y + h * (_DP_B5 @ k)
+        err = h * (_DP_ERR @ k)
         scale = tol * (1.0 + np.abs(y5))
         err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
         if err_norm <= 1.0:
@@ -419,8 +433,7 @@ def _dense_steps(traj: FlowTrajectory, first: int, last: int) -> np.ndarray:
     """
     y0 = traj.points[first:last]
     h = np.diff(traj.times[first:last + 1])[:, None]
-    k = _dp_stages(traj.rhs, y0, h)
-    return np.einsum("snd,nc->sdc", np.stack(k, axis=1), _DP_P)
+    return np.einsum("nsd,nc->sdc", _dp_stages(traj.rhs, y0, h), _DP_P)
 
 
 def _refine_return(traj: FlowTrajectory, k: int, t_min: float, start) -> tuple:

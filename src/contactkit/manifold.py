@@ -95,17 +95,26 @@ class ContactManifold:
 
     def constraint_values(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if not self.constraints:
-            return np.zeros((pts.shape[0], 0))
-        return np.column_stack([c(pts) for c in self.constraints])
+        coords = list(pts.T)
+        vals = np.empty((pts.shape[0], len(self.constraints)))
+        for i, c in enumerate(self.constraints):
+            vals[:, i] = c.fn(coords)
+        return vals
 
     def constraint_gradients(self, pts) -> np.ndarray:
+        return self._constraint_pass(pts)[1]
+
+    def _constraint_pass(self, pts) -> tuple:
+        """Constraint values (N, k) and gradients (N, k, d) from one seeded pass."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         coords, shape = seed(list(pts.T)), (self.ambient_dim, pts.shape[0])
-        out = np.empty((pts.shape[0], len(self.constraints), self.ambient_dim))
+        vals = np.empty((pts.shape[0], len(self.constraints)))
+        grads = np.empty((pts.shape[0], len(self.constraints), self.ambient_dim))
         for i, c in enumerate(self.constraints):
-            out[:, i, :] = np.broadcast_to(epsilon(c.fn(coords)), shape).T
-        return out
+            out = c.fn(coords)
+            vals[:, i] = value(out)
+            grads[:, i, :] = np.broadcast_to(epsilon(out), shape).T
+        return vals, grads
 
     def constraint_residual(self, pts) -> np.ndarray:
         """Max constraint violation per point."""
@@ -122,23 +131,34 @@ class ContactManifold:
         return np.mod(pts, self.period)
 
     def project(self, pts, tol: float = 1e-13, max_iter: int = 12) -> np.ndarray:
-        """Orthogonal Newton projection onto the constraint set."""
+        """Orthogonal Newton projection onto the constraint set.
+
+        One seeded pass gives the values and the Jacobian at the input;
+        each Newton update is followed by a plain evaluation of the
+        values, and the Jacobian is taken again only when another update
+        is needed.  Raises ProjectionError when max_iter updates leave a
+        residual above tol.
+        """
         pts = np.asarray(pts, dtype=float)
         scalar = pts.ndim == 1
         q = np.atleast_2d(pts).copy()
         if self.constraints:
-            for _ in range(max_iter):
-                vals = self.constraint_values(q)
-                if np.max(np.abs(vals)) <= tol:
-                    break
-                jac = self.constraint_gradients(q)
-                gram = np.einsum("nia,nja->nij", jac, jac)
-                lam = np.linalg.solve(gram, vals[..., None])[..., 0]
-                q -= np.einsum("ni,nia->na", lam, jac)
-            else:
-                raise ProjectionError(
-                    f"projection stalled at residual {np.max(np.abs(self.constraint_values(q))):.3e}")
+            q = self._newton(q, *self._constraint_pass(q), tol, max_iter)
         return q[0] if scalar else q
+
+    def _newton(self, q, vals, jac, tol: float = 1e-13, max_iter: int = 12) -> np.ndarray:
+        """Newton projection of q (N, d), updated in place, starting from
+        the constraint values and Jacobian at q."""
+        for i in range(max_iter):
+            if np.max(np.abs(vals)) <= tol:
+                return q
+            if i:
+                jac = self.constraint_gradients(q)
+            gram = np.einsum("nia,nja->nij", jac, jac)
+            lam = np.linalg.solve(gram, vals[..., None])[..., 0]
+            q -= np.einsum("ni,nia->na", lam, jac)
+            vals = self.constraint_values(q)
+        raise ProjectionError(f"projection stalled at residual {np.max(np.abs(vals)):.3e}")
 
     def point(self, coords) -> np.ndarray:
         """Validated point constructor: coords must satisfy the constraints."""

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from contactkit import zoo
+from contactkit.fields import ScalarField
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +40,20 @@ def cotangent():
 def sample(m, count, seed=0):
     """Random points on m with a fixed seed."""
     return m.random_points(count, np.random.default_rng(seed))
+
+
+def counting_constraints(m):
+    """m with each constraint function wrapped to count its evaluations.
+
+    Returns (manifold, calls); calls gains one entry per evaluation of
+    any constraint, plain or seeded.
+    """
+    calls = []
+
+    def counted(c):
+        def fn(coords):
+            calls.append(1)
+            return c.fn(coords)
+        return ScalarField(fn, c.dim, c.name)
+
+    return replace(m, constraints=tuple(counted(c) for c in m.constraints)), calls

@@ -12,7 +12,7 @@ from contactkit.flows import (FlowTrajectory, IntegrationError, birkhoff_average
                               min_return_distance, orbit_coverage, space_average,
                               strictness_check, transported_flow)
 from contactkit.hamiltonian import constant_hamiltonian, hamiltonian
-from conftest import sample
+from conftest import counting_constraints, sample
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -67,6 +67,44 @@ def test_negative_time_and_bad_tolerance_rejected(sphere):
 def test_step_budget_exhaustion_raises(sphere):
     with pytest.raises(IntegrationError):
         integrate_flow(sphere, None, sample(sphere, 1)[0], 50.0, max_steps=10)
+
+
+def test_blown_up_step_is_an_integration_error(sphere):
+    # the field pushes off the sphere; the guard reads the drift before
+    # any Newton update, so the error names the pre-projection drift
+    def leaving(pts):
+        return zoo.sphere_reeb_closed_form(sphere, pts) + 0.5 * np.asarray(pts)
+
+    with pytest.raises(IntegrationError,
+                       match=r"constraint drift 3\.846e-02 before projection exceeds 1e-06"):
+        integrate_flow(sphere, leaving, np.array([1.0, 0.0, 0.0, 0.0]), 1.0)
+
+
+def test_each_accepted_step_evaluates_the_constraints_twice(golden):
+    counted, calls = counting_constraints(golden)
+    start = sample(golden, 1)[0]
+    traj = integrate_flow(counted, golden_field(counted), start, 2.0)
+    # one seeded pass (drift, values and Jacobian) and one plain check of
+    # the Newton update per step, plus one pass that projects the start
+    assert traj.steps > 100
+    assert len(calls) <= 2 * traj.steps + 1
+    calls.clear()
+    counted.project(np.random.default_rng(5).normal(size=(40, 4)))
+    # k Newton updates take one seeded pass, k value checks and k - 1
+    # further Jacobians: 2k evaluations
+    assert len(calls) <= 14
+
+
+def test_dormand_prince_tableau():
+    a = flows._DP_A
+    assert a.shape == (7, 7)
+    assert np.array_equal(a, np.tril(a, -1))
+    assert np.allclose(a.sum(axis=1), flows._DP_C, rtol=0.0, atol=1e-15)
+    assert flows._DP_B5.sum() == pytest.approx(1.0, abs=1e-15)
+    assert flows._DP_ERR.sum() == pytest.approx(0.0, abs=1e-15)
+    assert np.array_equal(a[-1], flows._DP_B5)
+    # the continuous extension at theta = 1 is the 5th-order step
+    assert np.allclose(flows._DP_P.sum(axis=1), flows._DP_B5, rtol=0.0, atol=1e-15)
 
 
 def test_flow_points_agree_with_adaptive_integrator(golden):

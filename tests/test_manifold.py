@@ -9,10 +9,10 @@ import pytest
 from contactkit import zoo
 from contactkit.fields import ScalarField
 from contactkit.manifold import (ContactDegeneracyError, DegenerateFrameError,
-                                 _bordered_wedge, _matchings,
+                                 ProjectionError, _bordered_wedge, _matchings,
                                  hamiltonian_field_with_derivative,
                                  reeb_with_derivative)
-from conftest import sample
+from conftest import counting_constraints, sample
 
 
 def test_sphere_defect_is_half(sphere):
@@ -58,6 +58,18 @@ def test_projection_lands_on_constraints(sphere, golden):
         raw = rng.normal(size=(40, m.ambient_dim))
         proj = m.project(raw)
         assert np.max(m.constraint_residual(proj)) < 1e-12
+
+
+def test_projection_stall_raises_and_projected_points_stay(sphere):
+    far = 10.0 * np.random.default_rng(1).normal(size=(5, 4))
+    with pytest.raises(ProjectionError, match="projection stalled at residual"):
+        sphere.project(far, max_iter=1)
+    counted, calls = counting_constraints(sphere)
+    pts = counted.project(far)
+    calls.clear()
+    again = counted.project(pts)
+    assert np.array_equal(again, pts)
+    assert len(calls) == 1
 
 
 def test_tangent_frame_orthonormal_and_tangent(golden):
