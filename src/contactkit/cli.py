@@ -78,6 +78,11 @@ def _emit(report: dict, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _output_stem(path: str) -> str:
+    """--output without a trailing .json, then without a trailing .csv."""
+    return path.removesuffix(".json").removesuffix(".csv")
+
+
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -258,10 +263,7 @@ def _cmd_flow(args) -> int:
             raise UsageError(f"start needs {m.ambient_dim} coordinates, got {start.size}")
     else:
         raise UsageError("provide --start x0,x1,... or --random-start")
-    stem = args.output or "flow"
-    for suffix in (".json", ".csv"):
-        if stem.endswith(suffix):
-            stem = stem[:-len(suffix)]
+    stem = _output_stem(args.output or "flow")
     report = {
         "command": "flow",
         "manifold": m.key(),
@@ -476,10 +478,7 @@ def _cw_volume(args, report: dict) -> int:
 def _cmd_cw(args) -> int:
     report = {"command": f"cw {args.table}", "seed": args.seed}
     if args.output:
-        stem = args.output
-        for suffix in (".json", ".csv"):
-            if stem.endswith(suffix):
-                stem = stem[:-len(suffix)]
+        stem = _output_stem(args.output)
         report["table_csv"] = stem + ".csv"
         args.output = stem + ".json"
     handler = {"toric-table": _cw_toric_table, "sphere-table": _cw_sphere_table,

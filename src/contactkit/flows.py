@@ -22,6 +22,7 @@ from .integrate import IntegralResult, contact_volume, integrate
 from .manifold import (
     ContactManifold,
     GeometryError,
+    _normal_part,
     hamiltonian_field_with_derivative,
     reeb_with_derivative,
 )
@@ -270,10 +271,7 @@ def _tangent_project(m: ContactManifold, pts: np.ndarray, v: np.ndarray) -> np.n
     if not m.constraints:
         return v
     g = m.constraint_gradients(pts)
-    gram = np.einsum("nka,nla->nkl", g, g)
-    gv = np.einsum("nka,na->nk", g, v)
-    lam = np.linalg.solve(gram, gv[..., None])[..., 0]
-    return v - np.einsum("nk,nka->na", lam, g)
+    return v - _normal_part(g, np.einsum("nka,na->nk", g, v))
 
 
 def transported_flow(m: ContactManifold, generator, starts, vectors, T: float,

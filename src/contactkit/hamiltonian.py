@@ -92,23 +92,13 @@ def hamiltonian_to_field(h: Hamiltonian, pts, tol: float = FIELD_SOLVE_TOL):
 
 
 def _field_and_dh_reeb(h: Hamiltonian, q: np.ndarray, tol: float) -> tuple:
-    """The contact field of h at points q (N, d) and dH(R) there, from one
-    frame solve of the manifold."""
-    frame, a, dmat, r = h.manifold.frame_system(q)
-    n_pts, k, d = frame.shape
-    hvals = np.asarray(h.field(q), dtype=float)
-    if hvals.ndim == 0:
-        hvals = np.full(n_pts, float(hvals))
+    """The contact field of h at points q (N, d) and dH(R) there, from the frame
+    system M and its pseudo-inverse, whose first column is the Reeb vector."""
+    frame, system, pinv = h.manifold.frame_system(q)
     dh_frame = np.ascontiguousarray(h.field.directional(q, np.swapaxes(frame, 0, 1)).T)
-    dh_reeb = np.einsum("nj,nj->n", dh_frame, r)
-
-    system = np.empty((n_pts, k + 1, k))
-    system[:, 0, :] = a
-    system[:, 1:, :] = np.swapaxes(dmat, 1, 2)
-    rhs = np.empty((n_pts, k + 1))
-    rhs[:, 0] = hvals
-    rhs[:, 1:] = -dh_frame + dh_reeb[:, None] * a
-    sol = np.linalg.pinv(system) @ rhs[..., None]
+    dh_reeb = np.einsum("nj,nj->n", dh_frame, pinv[..., 0])
+    rhs = np.concatenate([h.field(q)[:, None], -dh_frame + dh_reeb[:, None] * system[:, 0]], 1)
+    sol = pinv @ rhs[..., None]
     residual = np.max(np.abs(system @ sol - rhs[..., None]))
     if residual > tol:
         raise GeometryError(

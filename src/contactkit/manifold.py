@@ -13,6 +13,11 @@ reflections of the gradients (see tangent_frame).  The contact defect at
 a point is alpha ^ (d alpha)^n = n! Pf([[0, a], [-a^T, D]]) on the
 oriented orthonormal frame, a and D the values of alpha and d alpha
 there; for a contact form it is strictly positive.
+
+Contact fields solve the frame system M = [a; D^T] (see frame_system),
+or the ambient system with constraint multipliers of the dual-seeded
+solvers; _checked_pinv factorises both, raising ContactDegeneracyError
+where sigma_min <= DEGENERACY_RTOL * sigma_max.
 """
 
 from __future__ import annotations
@@ -37,16 +42,32 @@ class DegenerateFrameError(GeometryError):
 
 
 class ContactDegeneracyError(GeometryError):
-    """The restricted two-form has excess kernel: the form is not contact."""
+    """A contact system is rank deficient: the form is not contact there."""
 
 
 class ProjectionError(GeometryError):
     """Newton projection onto the constraint set did not converge."""
 
 
-# kernel detection threshold for the restricted two-form, relative to
-# the largest singular value
+# a contact system whose smallest singular value is at most this times
+# its largest is rank deficient: the form is not contact there
 DEGENERACY_RTOL = 1e-8
+
+
+def _checked_pinv(system: np.ndarray, what: str) -> np.ndarray:
+    """np.linalg.pinv of contact systems (N, r, c), r > c, from one SVD, or
+    ContactDegeneracyError naming what where sigma_min <= DEGENERACY_RTOL * sigma_max."""
+    u, sv, vh = np.linalg.svd(system, full_matrices=False)
+    if np.any(sv[:, -1] <= DEGENERACY_RTOL * sv[:, 0]):
+        raise ContactDegeneracyError(f"{what} is rank deficient; the form is not contact there")
+    return np.swapaxes(vh, -1, -2) @ ((1.0 / sv)[..., None] * np.swapaxes(u, -1, -2))
+
+
+def _normal_part(grads: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """G^T (G G^T)^{-1} b for gradients G (N, k, d) and b (N, k): the vector
+    in the span of the gradients whose pairings with them are b."""
+    gram = np.einsum("nia,nja->nij", grads, grads)
+    return np.einsum("ni,nia->na", np.linalg.solve(gram, b[..., None])[..., 0], grads)
 
 
 @dataclass(frozen=True)
@@ -148,15 +169,16 @@ class ContactManifold:
 
     def _newton(self, q, vals, jac, tol: float = 1e-13, max_iter: int = 12) -> np.ndarray:
         """Newton projection of q (N, d), updated in place, starting from
-        the constraint values and Jacobian at q."""
-        for i in range(max_iter):
+        the constraint values and Jacobian at q.  The residual after the
+        last allowed update is tested before ProjectionError is raised."""
+        for i in range(max_iter + 1):
             if np.max(np.abs(vals)) <= tol:
                 return q
+            if i == max_iter:
+                break
             if i:
                 jac = self.constraint_gradients(q)
-            gram = np.einsum("nia,nja->nij", jac, jac)
-            lam = np.linalg.solve(gram, vals[..., None])[..., 0]
-            q -= np.einsum("ni,nia->na", lam, jac)
+            q -= _normal_part(jac, vals)
             vals = self.constraint_values(q)
         raise ProjectionError(f"projection stalled at residual {np.max(np.abs(vals)):.3e}")
 
@@ -220,56 +242,50 @@ class ContactManifold:
         scalar = pts.ndim == 1
         q = np.atleast_2d(pts)
         try:
-            frame = self.tangent_frame(q)
-            a = np.einsum("na,nia->ni", self.form.coefficients(q), frame)
-            dmat = self.form.dmatrix(q, frame)
-            out = _bordered_wedge(a, dmat, self.n)
+            out = _bordered_wedge(*self._frame_data(q)[1:], self.n)
         except GeometryError:
             raise
         except (FloatingPointError, ValueError, ZeroDivisionError, OverflowError):
             out = np.full(q.shape[0], np.nan)
         return float(out[0]) if scalar else out
 
+    def _frame_data(self, q: np.ndarray) -> tuple:
+        """The oriented frame at points q (N, d), alpha in it and the d alpha matrix."""
+        frame = self.tangent_frame(q)
+        a = np.einsum("na,nia->ni", self.form.coefficients(q), frame)
+        return frame, a, self.form.dmatrix(q, frame)
+
     def frame_system(self, pts) -> tuple:
         """The contact system in the oriented orthonormal tangent frame.
 
-        Returns (frame, a, dmat, r), always batched: the frame (N, 2n+1, d),
-        alpha in it (N, 2n+1), the d alpha matrix (N, 2n+1, 2n+1) and the
-        kernel vector r of d alpha scaled to alpha(r) = 1, so that the
-        Reeb field is r expanded in the frame.  Raises
-        ContactDegeneracyError where the kernel is not a single line on
-        which alpha is nonzero.
+        Returns (frame, M, M^+), always batched: the frame (N, 2n+1, d),
+        the stacked system M = [a; D^T] (N, 2n+2, 2n+1) of alpha's values
+        a and the d alpha matrix D in the frame, and its pseudo-inverse
+        (N, 2n+1, 2n+2) from _checked_pinv.  X = x . frame has
+        alpha(X) = c and d alpha(X, e_j) = b_j when M x = (c, b); the Reeb
+        field is the first column r = M^+ e_0 expanded in the frame.
+        Raises ContactDegeneracyError where M loses column rank.
         """
         q = np.atleast_2d(np.asarray(pts, dtype=float))
-        frame = self.tangent_frame(q)
-        dmat = self.form.dmatrix(q, frame)
-        _, sv, vh = np.linalg.svd(dmat)
-        bad = sv[:, -2] <= DEGENERACY_RTOL * np.maximum(sv[:, 0], 1e-300)
-        if np.any(bad):
-            raise ContactDegeneracyError(
-                "restricted two-form has a kernel of dimension > 1; the form is not contact there")
-        kernel = vh[:, -1, :]
-        a = np.einsum("na,nia->ni", self.form.coefficients(q), frame)
-        scale = np.einsum("ni,ni->n", a, kernel)
-        if np.any(np.abs(scale) <= 1e-12):
-            raise ContactDegeneracyError("kernel direction is alpha-null; the form is not contact")
-        return frame, a, dmat, kernel / scale[:, None]
+        frame, a, dmat = self._frame_data(q)
+        system = np.concatenate([a[:, None], np.swapaxes(dmat, 1, 2)], axis=1)
+        return frame, system, _checked_pinv(system, "restricted contact system")
 
     def reeb_field(self, pts) -> np.ndarray:
         """Reeb vector field: alpha(R) = 1 and d alpha(R, .) = 0 on TM.
 
-        Solved pointwise by extracting the kernel of the restricted
-        two-form in an orthonormal frame.
+        Solved pointwise in an orthonormal tangent frame: R is the first
+        column of the frame system's pseudo-inverse, expanded in the frame.
         """
-        frame, _, _, r = self.frame_system(pts)
-        reeb = np.einsum("ni,nia->na", r, frame)
+        frame, _, pinv = self.frame_system(pts)
+        reeb = np.einsum("ni,nia->na", pinv[..., 0], frame)
         return reeb[0] if np.ndim(pts) == 1 else reeb
 
     def reeb_residuals(self, pts) -> dict:
         """Defining-equation residuals of the computed Reeb field."""
         q = np.atleast_2d(np.asarray(pts, dtype=float))
-        frame, _, _, r = self.frame_system(q)
-        reeb = np.einsum("ni,nia->na", r, frame)
+        frame, _, pinv = self.frame_system(q)
+        reeb = np.einsum("ni,nia->na", pinv[..., 0], frame)
         alpha_res = np.abs(self.form(q, reeb) - 1.0)
         # d alpha over the frame (R, e_1, ..., e_m): its first row is d alpha(R, e_i)
         pairing = self.form.dmatrix(q, np.concatenate([reeb[:, None], frame], axis=1))[:, 0, 1:]
@@ -386,20 +402,15 @@ def _contact_solve(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
     One seeded pass builds the ambient system S (X, mu) = rhs with rows
     omega X - grads^T mu = top, alpha . X = rhs_alpha, grads . X = 0.
     S is factorised once; each field takes its own right-hand side,
-    value x0 = S^+ r and derivative x1 = S^+ (r_eps - S_eps x0).  Returns
-    (R, X_H, dH(R)) as Duals of arrays, fields (N, d), the last two None
-    without h.  Raises ContactDegeneracyError where S loses column rank.
+    value x0 = S^+ r and derivative x1 = S^+ (r_eps - S_eps x0), S^+ from
+    _checked_pinv as for the frame system.  Returns (R, X_H, dH(R)) as
+    Duals of arrays, fields (N, d), the last two None without h.  Raises
+    ContactDegeneracyError where S loses column rank.
     """
     n_pts, d = p.shape
     k = len(m.constraints)
     system, hval, dh = _ambient_data(m, p, dp, h)
-    u, sv, vh = np.linalg.svd(system.val, full_matrices=False)
-    if np.any(sv[:, -1] <= DEGENERACY_RTOL * sv[:, 0]):
-        raise ContactDegeneracyError(
-            "ambient contact system is rank deficient; the form is not contact there")
-    # np.linalg.pinv's construction; the margin check leaves no singular
-    # value for it to cut
-    pinv = np.swapaxes(vh, -1, -2) @ ((1.0 / sv)[..., None] * np.swapaxes(u, -1, -2))
+    pinv = _checked_pinv(system.val, "ambient contact system")
 
     def solve(top, rhs_alpha):
         rhs = _linear(lambda t, a: np.concatenate([t, a[..., None], np.zeros(a.shape + (k,))], -1),

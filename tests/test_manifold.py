@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from contactkit import zoo
-from contactkit.fields import ScalarField
-from contactkit.manifold import (ContactDegeneracyError, DegenerateFrameError,
+from contactkit.fields import OneForm, ScalarField
+from contactkit.manifold import (ContactDegeneracyError, ContactManifold, DegenerateFrameError,
                                  ProjectionError, _bordered_wedge, _matchings,
                                  hamiltonian_field_with_derivative,
                                  reeb_with_derivative)
+from contactkit.hamiltonian import hamiltonian, hamiltonian_to_field
 from conftest import counting_constraints, sample
 
 
@@ -52,6 +53,24 @@ def test_degenerate_form_zero_defect_and_no_reeb():
         hamiltonian_field_with_derivative(m, h, pts, vecs)
 
 
+def test_alpha_null_kernel_is_a_contact_degeneracy():
+    # sin(y) dx on T^3: d alpha = cos(y) dy ^ dx has the kernel d/dt, on
+    # which alpha vanishes, so alpha ^ d alpha = 0 although d alpha has rank 2
+    form = OneForm(lambda c: [np.sin(c[1]), 0.0 * c[0], 0.0 * c[0]], 3, name="sin(y) dx")
+    m = ContactManifold(name="alpha-null-torus", n=1, ambient_dim=3, form=form,
+                        periodic=True, period=2.0 * math.pi)
+    pts = np.random.default_rng(4).uniform(0.0, m.period, size=(20, 3))
+    vecs = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
+    h = hamiltonian(m, lambda c: np.cos(c[0]) + c[2], name="h")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.max(np.abs(m.contact_defect(pts))) < 1e-14
+        for call in (lambda: m.reeb_field(pts), lambda: hamiltonian_to_field(h, pts),
+                     lambda: reeb_with_derivative(m, pts, vecs)):
+            with pytest.raises(ContactDegeneracyError):
+                call()
+
+
 def test_projection_lands_on_constraints(sphere, golden):
     rng = np.random.default_rng(5)
     for m in (sphere, golden):
@@ -64,6 +83,9 @@ def test_projection_stall_raises_and_projected_points_stay(sphere):
     far = 10.0 * np.random.default_rng(1).normal(size=(5, 4))
     with pytest.raises(ProjectionError, match="projection stalled at residual"):
         sphere.project(far, max_iter=1)
+    # the one allowed update converges: its residual is tested before raising
+    near = sphere.project([1.0 + 1e-9, 0.0, 0.0, 0.0], max_iter=1)
+    assert sphere.constraint_residual(near) <= 1e-13
     counted, calls = counting_constraints(sphere)
     pts = counted.project(far)
     calls.clear()
@@ -131,7 +153,6 @@ def test_reeb_derivative_matches_finite_difference(golden):
 
 
 def test_hamiltonian_field_derivative_value_agrees_with_frame_solver(sphere):
-    from contactkit.hamiltonian import hamiltonian, hamiltonian_to_field
     h = hamiltonian(sphere, lambda c: c[0] * c[0] - c[1] * c[3], name="test")
     pts = sample(sphere, 25)
     vecs = sphere.random_tangents(pts, np.random.default_rng(3))
@@ -140,7 +161,6 @@ def test_hamiltonian_field_derivative_value_agrees_with_frame_solver(sphere):
 
 
 def test_hamiltonian_field_derivative_matches_finite_difference(golden):
-    from contactkit.hamiltonian import hamiltonian, hamiltonian_to_field
     h = hamiltonian(golden, lambda c: c[0] * c[1] - 0.5 * c[2] * c[2] + c[3], name="test")
     pts = sample(golden, 20)
     vecs = golden.random_tangents(pts, np.random.default_rng(13))
@@ -154,9 +174,8 @@ def test_hamiltonian_field_derivative_matches_finite_difference(golden):
 
 def test_each_call_builds_its_contact_system_once(golden, monkeypatch):
     from contactkit import manifold
-    from contactkit.hamiltonian import (bracket, bracket_hamiltonian, hamiltonian,
-                                        hamiltonian_to_field)
-    counts = {"frame": 0, "ambient": 0}
+    from contactkit.hamiltonian import bracket, bracket_hamiltonian
+    counts = {"frame": 0, "ambient": 0, "factor": 0}
     tangent_frame, ambient_data = manifold.ContactManifold.tangent_frame, manifold._ambient_data
 
     def counted_frame(self, pts):
@@ -169,23 +188,42 @@ def test_each_call_builds_its_contact_system_once(golden, monkeypatch):
 
     monkeypatch.setattr(manifold.ContactManifold, "tangent_frame", counted_frame)
     monkeypatch.setattr(manifold, "_ambient_data", counted_ambient)
+    # a contact system is factorised by one SVD (np.linalg.pinv takes its own)
+    for name in ("svd", "pinv"):
+        def counted_factor(*args, _fn=getattr(np.linalg, name), **kwargs):
+            counts["factor"] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted_factor)
     h1 = hamiltonian(golden, lambda c: c[0] * c[1], name="h1")
     h2 = hamiltonian(golden, lambda c: c[2] - c[3] * c[0], name="h2")
     pts = sample(golden, 5)
     vecs = golden.random_tangents(pts, np.random.default_rng(2))
 
     def builds(call):
-        counts.update(frame=0, ambient=0)
+        counts.update(frame=0, ambient=0, factor=0)
         call()
-        return counts["frame"], counts["ambient"]
+        return counts["frame"], counts["ambient"], counts["factor"]
 
-    assert builds(lambda: hamiltonian_to_field(h1, pts)) == (1, 0)
-    assert builds(lambda: bracket(h1, h2, pts)) == (1, 0)
-    assert builds(lambda: golden.reeb_residuals(pts)) == (1, 0)
-    assert builds(lambda: reeb_with_derivative(golden, pts, vecs)) == (0, 1)
-    assert builds(lambda: hamiltonian_field_with_derivative(golden, h1.field, pts, vecs)) == (0, 1)
+    assert builds(lambda: golden.reeb_field(pts)) == (1, 0, 1)
+    assert builds(lambda: hamiltonian_to_field(h1, pts)) == (1, 0, 1)
+    assert builds(lambda: bracket(h1, h2, pts)) == (1, 0, 1)
+    assert builds(lambda: golden.reeb_residuals(pts)) == (1, 0, 1)
+    assert builds(lambda: reeb_with_derivative(golden, pts, vecs)) == (0, 1, 1)
+    assert builds(lambda: hamiltonian_field_with_derivative(golden, h1.field, pts, vecs)) == (0, 1, 1)
     nested = bracket_hamiltonian(h1, h2)
-    assert builds(lambda: nested.field.directional(pts, vecs)) == (0, 1)
+    assert builds(lambda: nested.field.directional(pts, vecs)) == (0, 1, 1)
+
+
+def test_reeb_is_the_first_column_of_the_frame_pseudo_inverse(sphere, sphere5, golden, cotangent):
+    zoo_constrained = (sphere, sphere5, golden, cotangent, zoo.weighted_sphere([1.0, 2.0, 3.0]),
+                       zoo.catalog()["cotangent-bump"](0.3))
+    for m in zoo_constrained:
+        pts = sample(m, 16)
+        frame, system, pinv = m.frame_system(pts)
+        assert np.allclose(system @ pinv[..., :1], np.eye(m.dim + 1)[:, :1], atol=1e-13)
+        reeb = np.einsum("ni,nia->na", pinv[..., 0], frame)
+        ambient, _ = reeb_with_derivative(m, pts, m.random_tangents(pts, np.random.default_rng(1)))
+        assert np.max(np.abs(reeb - ambient)) < 1e-13, m.key()
 
 
 def test_wrap_is_periodic_identity_on_torus(torus):
