@@ -263,6 +263,11 @@ def _cmd_flow(args) -> int:
             raise UsageError(f"start needs {m.ambient_dim} coordinates, got {start.size}")
     else:
         raise UsageError("provide --start x0,x1,... or --random-start")
+    if args.observable is not None:
+        min_dim, observable = _OBSERVABLES[args.observable]
+        if m.ambient_dim < min_dim:
+            raise UsageError(f"observable '{args.observable}' needs ambient "
+                             f"dimension >= {min_dim}")
     stem = _output_stem(args.output or "flow")
     report = {
         "command": "flow",
@@ -294,11 +299,7 @@ def _cmd_flow(args) -> int:
         _emit(report, stem + ".json" if args.output else None)
         return 1
     if args.observable is not None:
-        min_dim, fn = _OBSERVABLES[args.observable]
-        if m.ambient_dim < min_dim:
-            raise UsageError(f"observable '{args.observable}' needs ambient "
-                             f"dimension >= {min_dim}")
-        avg = birkhoff_average(traj, fn)
+        avg = birkhoff_average(traj, observable)
         report["observable"] = args.observable
         report["birkhoff_average"] = float(avg[-1])
     report["pass"] = True

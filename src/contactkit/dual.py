@@ -18,6 +18,8 @@ of the inner one's, so its eps parts, Duals again, carry both.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -152,6 +154,15 @@ def _ndim(x):
     return np.ndim(x)
 
 
+@lru_cache(maxsize=None)
+def _unit_seeds(d: int, depth: int) -> np.ndarray:
+    """np.eye(d) with depth trailing unit axes, built once per shape and
+    read-only, since every default seed of that shape shares it."""
+    units = np.eye(d).reshape((d, d) + (1,) * depth)
+    units.flags.writeable = False
+    return units
+
+
 def seed(coords, directions=None):
     """Coordinate list seeded for derivatives along directions, in one pass.
 
@@ -163,6 +174,5 @@ def seed(coords, directions=None):
     Entries of coords may be floats, arrays, or Duals (nesting).
     """
     if directions is None:
-        depth = max(_ndim(c) for c in coords)
-        directions = np.eye(len(coords)).reshape((len(coords),) * 2 + (1,) * depth)
+        directions = _unit_seeds(len(coords), max(_ndim(c) for c in coords))
     return [Dual(c, e) for c, e in zip(coords, directions)]

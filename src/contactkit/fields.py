@@ -38,9 +38,24 @@ def split_point(pts: np.ndarray):
 
 
 def _stack(entries, shape):
-    """Numbers or arrays broadcast to shape and stacked on a last axis."""
-    return np.stack([np.broadcast_to(np.asarray(c, dtype=float), shape) for c in entries],
-                    axis=-1)
+    """Numbers or arrays broadcast to shape and stacked on a last axis.
+
+    Filled entry by entry into one new array.  Each entry still passes
+    through np.asarray with dtype float, so a complex number or a Dual is
+    a TypeError and a complex array a ComplexWarning, as in np.stack.
+    """
+    entries = list(entries)
+    out = np.empty(tuple(shape) + (len(entries),))
+    for i, c in enumerate(entries):
+        out[..., i] = np.asarray(c, dtype=float)
+    return out
+
+
+def _filled(x, shape):
+    """A number or array as floats broadcast to shape, in a new array."""
+    out = np.empty(shape)
+    out[...] = np.asarray(x, dtype=float)
+    return out
 
 
 class ScalarField:
@@ -60,7 +75,7 @@ class ScalarField:
         out = self.fn(coords)
         if scalar:
             return float(out)
-        return np.broadcast_to(np.asarray(out, dtype=float), coords[0].shape).copy()
+        return _filled(out, coords[0].shape)
 
     def directional(self, pts, vecs):
         """Derivative along vecs, shaped like pts without its last axis.
@@ -73,15 +88,15 @@ class ScalarField:
         coords, _ = split_point(pts)
         out = epsilon(self.fn(seed(coords, [vecs[..., a] for a in range(self.dim)])))
         shape = np.broadcast_shapes(vecs.shape[:-1], pts.shape[:-1])
-        out = np.broadcast_to(np.asarray(out, dtype=float), shape)
-        return float(out) if shape == () else out.copy()
+        out = _filled(out, shape)
+        return float(out) if shape == () else out
 
     def gradient(self, pts):
         pts = np.asarray(pts, dtype=float)
         coords, _ = split_point(pts)
-        grad = np.broadcast_to(np.asarray(epsilon(self.fn(seed(coords))), dtype=float),
-                               (self.dim,) + pts.shape[:-1])
-        return np.ascontiguousarray(np.moveaxis(grad, 0, -1))
+        grad = np.empty(pts.shape[:-1] + (self.dim,))
+        np.moveaxis(grad, -1, 0)[...] = np.asarray(epsilon(self.fn(seed(coords))), dtype=float)
+        return grad
 
     def d(self) -> "OneForm":
         """Exterior derivative as a one-form with AD coefficients."""
@@ -89,7 +104,7 @@ class ScalarField:
             grad = epsilon(self.fn(seed(coords)))
             if isinstance(grad, Dual):
                 return [Dual(grad.val[a], grad.eps[a]) for a in range(self.dim)]
-            return list(np.broadcast_to(grad, (self.dim,) + np.shape(grad)[1:]))
+            return list(_filled(grad, (self.dim,) + np.shape(grad)[1:]))
         return OneForm(coefs, self.dim, name=f"d({self.name})" if self.name else "")
 
     # pointwise algebra, used to build products of Hamiltonians
@@ -173,8 +188,9 @@ class OneForm:
         frame = np.asarray(frame, dtype=float)
         coords = [pts[:, a] for a in range(self.dim)]
         deriv = self.coefficient_derivative(coords, [frame[:, :, a].T for a in range(self.dim)])
-        deriv = _stack(deriv, (frame.shape[1], frame.shape[0]))
-        deriv = np.ascontiguousarray(np.swapaxes(deriv, 0, 1))
+        # each derivative is (m, N) with the memory order of frame[:, :, a].T,
+        # so its transpose is read in order while filling (N, m, d)
+        deriv = _stack([np.transpose(c) for c in deriv], frame.shape[:2])
         a_mat = np.einsum("nia,nja->nij", deriv, frame)
         return a_mat - np.swapaxes(a_mat, 1, 2)
 

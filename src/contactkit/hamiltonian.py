@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .dual import Dual, epsilon, seed, value
-from .fields import ScalarField
+from .fields import ScalarField, _stack
 from .manifold import (
     ContactManifold,
     GeometryError,
@@ -136,10 +136,10 @@ def _coords_to_seeded_point(coords):
     (..., d), or (k, ..., d) for coordinates that carry k seeds."""
     if any(isinstance(getattr(c, part, None), Dual) for c in coords for part in ("val", "eps")):
         raise NestedDualError("bracket Hamiltonians differentiate one dual layer, not two")
-    vals = np.broadcast_arrays(*[np.asarray(value(c), dtype=float) for c in coords])
-    eps = np.broadcast_arrays(vals[0], *[np.asarray(epsilon(c), dtype=float)
-                                         for c in coords])[1:]
-    return np.stack(vals, axis=-1), np.stack(eps, axis=-1)
+    vals = [np.asarray(value(c), dtype=float) for c in coords]
+    eps = [np.asarray(epsilon(c), dtype=float) for c in coords]
+    shape = np.broadcast_shapes(*(v.shape for v in vals))
+    return _stack(vals, shape), _stack(eps, np.broadcast_shapes(shape, *(e.shape for e in eps)))
 
 
 def bracket_hamiltonian(h1: Hamiltonian, h2: Hamiltonian) -> Hamiltonian:
@@ -176,10 +176,11 @@ def bracket_hamiltonian(h1: Hamiltonian, h2: Hamiltonian) -> Hamiltonian:
 
 def split_point_coords(coords, dim):
     """Stack coordinate arrays back into point rows; True flag for one point."""
-    arrays = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
-    if arrays[0].ndim == 0:
+    arrays = [np.asarray(c, dtype=float) for c in coords]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    if shape == ():
         return np.array([float(a) for a in arrays]), True
-    return np.stack(arrays, axis=-1), False
+    return _stack(arrays, shape), False
 
 
 def adjoint(generator: Hamiltonian, flow_time: float, h: Hamiltonian,

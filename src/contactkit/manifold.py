@@ -128,13 +128,13 @@ class ContactManifold:
     def _constraint_pass(self, pts) -> tuple:
         """Constraint values (N, k) and gradients (N, k, d) from one seeded pass."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        coords, shape = seed(list(pts.T)), (self.ambient_dim, pts.shape[0])
+        coords = seed(list(pts.T))
         vals = np.empty((pts.shape[0], len(self.constraints)))
         grads = np.empty((pts.shape[0], len(self.constraints), self.ambient_dim))
         for i, c in enumerate(self.constraints):
             out = c.fn(coords)
             vals[:, i] = value(out)
-            grads[:, i, :] = np.broadcast_to(epsilon(out), shape).T
+            grads[:, i, :] = np.transpose(epsilon(out))
         return vals, grads
 
     def constraint_residual(self, pts) -> np.ndarray:
@@ -386,9 +386,12 @@ def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
 
     def assemble(v, g):
         coef, cons = g[..., :d], g[..., d:d + k]
-        return np.block([[coef - np.swapaxes(coef, -1, -2), -cons],
-                         [v[..., None, :d], np.zeros(v.shape[:-1] + (1, k))],
-                         [np.swapaxes(cons, -1, -2), np.zeros(v.shape[:-1] + (k, k))]])
+        s = np.zeros(v.shape[:-1] + (d + 1 + k, d + k))
+        s[..., :d, :d] = coef - np.swapaxes(coef, -1, -2)
+        s[..., :d, d:] = -cons
+        s[..., d, :d] = v[..., :d]
+        s[..., d + 1:, :d] = np.swapaxes(cons, -1, -2)
+        return s
 
     system = _linear(assemble, vals, grads)
     if h is None:

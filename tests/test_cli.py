@@ -85,6 +85,15 @@ def test_flow_output_stem_controls_both_files(capsys, tmp_path):
     assert rep["pass"] is True and len(traj) > 2
 
 
+@pytest.mark.parametrize("output", [[], ["--output", "o.json"]])
+def test_flow_checks_the_observable_before_integrating(capsys, tmp_path, output):
+    code, out, err = run(capsys, "flow", "--manifold", "torus3", "--start", "0.1,0.2,0.3",
+                         "--T", "0.5", "--observable", "re-z0zb1", *output)
+    assert code == 2 and out == ""
+    assert "needs ambient dimension >= 4" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_flow_projection_failure_is_a_report(capsys, monkeypatch):
     def fail(self, pts, *args, **kwargs):
         raise ProjectionError("projection did not converge")

@@ -1,10 +1,13 @@
 """Scalar fields, one-forms, exterior derivatives, and Lie brackets."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactkit.dual import Dual
 from contactkit.fields import (OneForm, ScalarField, VectorField,
                                constant_field, lie_bracket, split_point)
 
@@ -177,3 +180,39 @@ def test_directional_takes_a_direction_axis():
         assert np.array_equal(many[i], f.directional(pts, vecs[i]))
     one = f.directional(pts[0], vecs[:, 0])
     assert one.shape == (4,) and np.array_equal(one, many[:, 0])
+
+
+ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
+
+
+def complex_form_and_field():
+    return (OneForm(lambda c: [1j * c[0], c[1], c[2]], 3),
+            ScalarField(lambda c: 1j * c[0] + c[1], 3))
+
+
+@pytest.mark.parametrize("mode", ["default", "error"])
+def test_a_complex_number_or_a_dual_is_a_type_error(mode):
+    form, scalar = complex_form_and_field()
+    dual_entries = lambda c: [Dual(c[0], 1.0), c[1], c[2]]
+    pts = rng.normal(size=(4, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter(mode)
+        for call in (lambda: form.coefficients(pts[0]), lambda: scalar(pts[0]),
+                     lambda: OneForm(dual_entries, 3).coefficients(pts),
+                     lambda: VectorField(dual_entries, 3)(pts[0])):
+            with pytest.raises(TypeError):
+                call()
+
+
+def test_a_complex_array_is_a_complex_warning():
+    form, scalar = complex_form_and_field()
+    pts = rng.normal(size=(4, 3))
+    frame = np.broadcast_to(np.eye(3), (4, 3, 3))
+    for call in (lambda: form.coefficients(pts), lambda: form.dmatrix(pts, frame),
+                 lambda: scalar(pts)):
+        with pytest.warns(ComplexWarning):
+            call()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ComplexWarning):
+                call()

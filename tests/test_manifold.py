@@ -213,6 +213,18 @@ def test_each_call_builds_its_contact_system_once(golden, monkeypatch):
     nested = bracket_hamiltonian(h1, h2)
     assert builds(lambda: nested.field.directional(pts, vecs)) == (0, 1, 1)
 
+    # small systems are filled in place: no broadcast-and-stack copies
+    assembled = []
+    for name in ("broadcast_to", "stack", "block"):
+        def counted_assembly(*args, _name=name, _fn=getattr(np, name), **kwargs):
+            assembled.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted_assembly)
+    golden.reeb_field(pts[0])
+    assert assembled == []
+    reeb_with_derivative(golden, pts, vecs)
+    assert assembled == []
+
 
 def test_reeb_is_the_first_column_of_the_frame_pseudo_inverse(sphere, sphere5, golden, cotangent):
     zoo_constrained = (sphere, sphere5, golden, cotangent, zoo.weighted_sphere([1.0, 2.0, 3.0]),
