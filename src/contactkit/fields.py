@@ -19,7 +19,7 @@ one extra leading axis of k directions.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,34 +37,50 @@ def split_point(pts: np.ndarray):
     return [pts[:, a] for a in range(pts.shape[1])], False
 
 
-def _stack(entries, shape):
-    """Numbers or arrays broadcast to shape and stacked on a last axis.
+def _real(x):
+    """A number or array as an array to be assigned into a float array.
 
-    Filled entry by entry into one new array.  Each entry still passes
-    through np.asarray with dtype float, so a complex number or a Dual is
-    a TypeError and a complex array a ComplexWarning, as in np.stack.
+    Complex input is a TypeError at any point count, where the assignment
+    would keep the real part with only a ComplexWarning.  A Dual becomes
+    a 0-d object array, which the assignment refuses with a TypeError.
     """
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise TypeError("coefficient functions must return real values, not complex")
+    return x
+
+
+def _stack(entries, shape):
+    """Numbers or arrays broadcast to shape and stacked on a last axis,
+    filled entry by entry into one new array; each entry passes _real."""
     entries = list(entries)
     out = np.empty(tuple(shape) + (len(entries),))
     for i, c in enumerate(entries):
-        out[..., i] = np.asarray(c, dtype=float)
+        out[..., i] = _real(c)
     return out
 
 
 def _filled(x, shape):
     """A number or array as floats broadcast to shape, in a new array."""
     out = np.empty(shape)
-    out[...] = np.asarray(x, dtype=float)
+    out[...] = _real(x)
     return out
 
 
 class ScalarField:
-    """Real function of ambient coordinates with exact derivatives."""
+    """Real function of ambient coordinates with exact derivatives.
 
-    def __init__(self, fn: Callable[[Sequence], object], dim: int, name: str = ""):
+    gradient_map, optional, is (G, g0) with grad f(x) = x @ G + g0, G (d, d)
+    and g0 (d,), for a quadratic f: a manifold's constraint pass reads
+    the gradients of such constraints from it instead of seeding them.
+    """
+
+    def __init__(self, fn: Callable[[Sequence], object], dim: int, name: str = "",
+                 gradient_map: Optional[tuple] = None):
         self.fn = fn
         self.dim = dim
         self.name = name
+        self.gradient_map = gradient_map
 
     def raw(self, coords):
         """Evaluate on a coordinate list (floats, arrays, or Duals)."""
@@ -95,7 +111,7 @@ class ScalarField:
         pts = np.asarray(pts, dtype=float)
         coords, _ = split_point(pts)
         grad = np.empty(pts.shape[:-1] + (self.dim,))
-        np.moveaxis(grad, -1, 0)[...] = np.asarray(epsilon(self.fn(seed(coords))), dtype=float)
+        np.moveaxis(grad, -1, 0)[...] = _real(epsilon(self.fn(seed(coords))))
         return grad
 
     def d(self) -> "OneForm":

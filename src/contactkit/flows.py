@@ -136,11 +136,11 @@ def _field_function(m: ContactManifold, field) -> Callable:
 def _project_step(m: ContactManifold, y: np.ndarray, drift: float) -> tuple:
     """Project an accepted step back onto the constraint set.
 
-    One seeded pass gives the constraint values and Jacobian at y.  Its
-    values are the pre-projection drift, checked before any Newton
-    update: a step that left the manifold by more than
-    _MAX_PRE_PROJECTION_DRIFT raises IntegrationError.  Newton then
-    starts from the same pass, as in ContactManifold.project.
+    One constraint pass gives the values and Jacobian at y.  The largest
+    value is the pre-projection drift, checked before any Newton update:
+    a step that left the manifold by more than _MAX_PRE_PROJECTION_DRIFT
+    raises IntegrationError.  Newton then starts from the same pass and
+    drift, as in ContactManifold.project.
     """
     if not m.constraints:
         return y, drift
@@ -151,7 +151,7 @@ def _project_step(m: ContactManifold, y: np.ndarray, drift: float) -> tuple:
         raise IntegrationError(
             f"constraint drift {res:.3e} before projection exceeds "
             f"{_MAX_PRE_PROJECTION_DRIFT:.0e}")
-    return m._newton(q, vals, jac).reshape(y.shape), max(drift, res)
+    return m._newton(q, vals, jac, res).reshape(y.shape), max(drift, res)
 
 
 def _dp_stages(rhs: Callable, y: np.ndarray, h) -> np.ndarray:
@@ -218,8 +218,8 @@ def integrate_flow(m: ContactManifold, field, start, T: float,
         k = _dp_stages(rhs, y, h)
         y5 = y + h * (_DP_B5 @ k)
         err = h * (_DP_ERR @ k)
-        scale = tol * (1.0 + np.abs(y5))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        r = err / (tol * (1.0 + np.abs(y5)))
+        err_norm = math.sqrt(float(np.add.reduce(r * r, axis=None)) / r.size)
         if err_norm <= 1.0:
             y, drift = _project_step(m, y5, drift)
             t += h

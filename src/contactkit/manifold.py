@@ -123,19 +123,25 @@ class ContactManifold:
         return vals
 
     def constraint_gradients(self, pts) -> np.ndarray:
-        return self._constraint_pass(pts)[1]
+        """Constraint gradients (N, k, d): x @ G + g0 for a constraint with a
+        gradient map, one seeded pass shared by the others."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        grads = np.empty((pts.shape[0], len(self.constraints), self.ambient_dim))
+        coords = None
+        for i, c in enumerate(self.constraints):
+            if c.gradient_map is not None:
+                jac, shift = c.gradient_map
+                np.add(pts @ jac, shift, out=grads[:, i, :])
+                continue
+            if coords is None:
+                coords = seed(list(pts.T))
+            grads[:, i, :] = np.transpose(epsilon(c.fn(coords)))
+        return grads
 
     def _constraint_pass(self, pts) -> tuple:
-        """Constraint values (N, k) and gradients (N, k, d) from one seeded pass."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        coords = seed(list(pts.T))
-        vals = np.empty((pts.shape[0], len(self.constraints)))
-        grads = np.empty((pts.shape[0], len(self.constraints), self.ambient_dim))
-        for i, c in enumerate(self.constraints):
-            out = c.fn(coords)
-            vals[:, i] = value(out)
-            grads[:, i, :] = np.transpose(epsilon(out))
-        return vals, grads
+        """Constraint values (N, k) from one plain evaluation, the same
+        numbers a seeded pass gives, and gradients (N, k, d)."""
+        return self.constraint_values(pts), self.constraint_gradients(pts)
 
     def constraint_residual(self, pts) -> np.ndarray:
         """Max constraint violation per point."""
@@ -154,7 +160,7 @@ class ContactManifold:
     def project(self, pts, tol: float = 1e-13, max_iter: int = 12) -> np.ndarray:
         """Orthogonal Newton projection onto the constraint set.
 
-        One seeded pass gives the values and the Jacobian at the input;
+        One constraint pass gives the values and the Jacobian at the input;
         each Newton update is followed by a plain evaluation of the
         values, and the Jacobian is taken again only when another update
         is needed.  Raises ProjectionError when max_iter updates leave a
@@ -164,15 +170,18 @@ class ContactManifold:
         scalar = pts.ndim == 1
         q = np.atleast_2d(pts).copy()
         if self.constraints:
-            q = self._newton(q, *self._constraint_pass(q), tol, max_iter)
+            vals, jac = self._constraint_pass(q)
+            q = self._newton(q, vals, jac, float(np.max(np.abs(vals))), tol, max_iter)
         return q[0] if scalar else q
 
-    def _newton(self, q, vals, jac, tol: float = 1e-13, max_iter: int = 12) -> np.ndarray:
+    def _newton(self, q, vals, jac, res: float, tol: float = 1e-13,
+                max_iter: int = 12) -> np.ndarray:
         """Newton projection of q (N, d), updated in place, starting from
-        the constraint values and Jacobian at q.  The residual after the
-        last allowed update is tested before ProjectionError is raised."""
+        the constraint values at q, their largest magnitude res and the
+        Jacobian at q.  The residual after the last allowed update is
+        tested before ProjectionError is raised."""
         for i in range(max_iter + 1):
-            if np.max(np.abs(vals)) <= tol:
+            if res <= tol:
                 return q
             if i == max_iter:
                 break
@@ -180,12 +189,13 @@ class ContactManifold:
                 jac = self.constraint_gradients(q)
             q -= _normal_part(jac, vals)
             vals = self.constraint_values(q)
-        raise ProjectionError(f"projection stalled at residual {np.max(np.abs(vals)):.3e}")
+            res = float(np.max(np.abs(vals)))
+        raise ProjectionError(f"projection stalled at residual {res:.3e}")
 
     def point(self, coords) -> np.ndarray:
         """Validated point constructor: coords must satisfy the constraints."""
         p = np.asarray(coords, dtype=float)
-        res = float(self.constraint_residual(p))
+        res = float(np.max(self.constraint_residual(p)))
         if res > 1e-12:
             raise ValueError(f"point violates constraints by {res:.3e}")
         return self.wrap(p) if self.periodic else p

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,7 +76,8 @@ def standard_sphere(n: int = 1, form_scale: float = 1.0) -> ContactManifold:
     m = ContactManifold(
         name="sphere", n=n, ambient_dim=d,
         form=OneForm(coefs, d, name="standard"),
-        constraints=(ScalarField(radius, d, name="|z|^2-1"),),
+        constraints=(ScalarField(radius, d, name="|z|^2-1",
+                                 gradient_map=(2.0 * np.eye(d), np.zeros(d))),),
         frame_sign=1,
         reeb_period=math.pi,
         params={"n": n},
@@ -85,16 +87,24 @@ def standard_sphere(n: int = 1, form_scale: float = 1.0) -> ContactManifold:
     return m.scaled(form_scale) if form_scale != 1.0 else m
 
 
+@lru_cache(maxsize=None)
+def _rotation_transpose(weights: tuple, rate: float) -> np.ndarray:
+    """J^T for z -> i rate diag(weights) z in real coordinates, so the field
+    at points q is q @ J^T; built once per weight tuple and read-only, since
+    every call shares it.  Each row has one non-zero entry, so the product
+    equals the entrywise formula (an exact zero may change sign)."""
+    jt = np.zeros((2 * len(weights),) * 2)
+    for j, w in enumerate(weights):
+        jt[2 * j + 1, 2 * j] = -(rate * w)
+        jt[2 * j, 2 * j + 1] = rate * w
+    jt.flags.writeable = False
+    return jt
+
+
 def sphere_reeb_closed_form(m: ContactManifold, pts) -> np.ndarray:
     """2iz in real coordinates, divided by the form scale."""
-    s = m.params.get("form_scale", 1.0)
-    pts = np.asarray(pts, dtype=float)
-    scalar = pts.ndim == 1
-    q = np.atleast_2d(pts)
-    out = np.empty_like(q)
-    out[:, 0::2] = -2.0 * q[:, 1::2]
-    out[:, 1::2] = 2.0 * q[:, 0::2]
-    return out[0] / s if scalar else out / s
+    jt = _rotation_transpose((1.0,) * (m.n + 1), 2.0)
+    return (np.asarray(pts, dtype=float) @ jt) / m.params.get("form_scale", 1.0)
 
 
 # flat three-torus
@@ -213,7 +223,8 @@ def weighted_sphere(weights: Sequence[float], form_scale: float = 1.0) -> Contac
     m = ContactManifold(
         name="weighted-sphere", n=n, ambient_dim=d,
         form=OneForm(coefs, d, name="standard"),
-        constraints=(ScalarField(level, d, name="H_w-1"),),
+        constraints=(ScalarField(level, d, name="H_w-1", gradient_map=(
+            np.diag(np.repeat(2.0 * math.pi * np.asarray(w), 2)), np.zeros(d))),),
         frame_sign=1,
         reeb_period=period,
         params={"weights": w},
@@ -225,15 +236,8 @@ def weighted_sphere(weights: Sequence[float], form_scale: float = 1.0) -> Contac
 
 def weighted_reeb_closed_form(m: ContactManifold, pts) -> np.ndarray:
     """2 pi i diag(w) z in real coordinates, divided by the form scale."""
-    s = m.params.get("form_scale", 1.0)
-    w = np.asarray(m.params["weights"], dtype=float)
-    pts = np.asarray(pts, dtype=float)
-    scalar = pts.ndim == 1
-    q = np.atleast_2d(pts)
-    out = np.empty_like(q)
-    out[:, 0::2] = -2.0 * math.pi * w[None, :] * q[:, 1::2]
-    out[:, 1::2] = 2.0 * math.pi * w[None, :] * q[:, 0::2]
-    return out[0] / s if scalar else out / s
+    jt = _rotation_transpose(m.params["weights"], 2.0 * math.pi)
+    return (np.asarray(pts, dtype=float) @ jt) / m.params.get("form_scale", 1.0)
 
 
 def weighted_flow_closed_form(m: ContactManifold, start, t) -> np.ndarray:
@@ -352,8 +356,10 @@ def unit_cotangent_sphere(conformal_exponent: Callable = None,
     m = ContactManifold(
         name=f"cotangent-{label}", n=1, ambient_dim=6,
         form=OneForm(coefs, 6, name="p.dq"),
-        constraints=(ScalarField(sphere_constraint, 6, name="|q|^2-1"),
-                     ScalarField(orthogonality, 6, name="q.p"),
+        constraints=(ScalarField(sphere_constraint, 6, name="|q|^2-1",
+                                 gradient_map=(np.diag([2.0] * 3 + [0.0] * 3), np.zeros(6))),
+                     ScalarField(orthogonality, 6, name="q.p",
+                                 gradient_map=(np.roll(np.eye(6), 3, axis=1), np.zeros(6))),
                      ScalarField(unit_momentum, 6, name="|p|_g-1")),
         frame_sign=1,
         params={"label": label, "conformal_exponent": f},

@@ -46,7 +46,8 @@ def counting_constraints(m):
     """m with each constraint function wrapped to count its evaluations.
 
     Returns (manifold, calls); calls gains one entry per evaluation of
-    any constraint, plain or seeded.
+    any constraint, plain or seeded.  Gradient maps are kept, so the
+    count is that of m itself.
     """
     calls = []
 
@@ -54,6 +55,6 @@ def counting_constraints(m):
         def fn(coords):
             calls.append(1)
             return c.fn(coords)
-        return ScalarField(fn, c.dim, c.name)
+        return ScalarField(fn, c.dim, c.name, c.gradient_map)
 
     return replace(m, constraints=tuple(counted(c) for c in m.constraints)), calls

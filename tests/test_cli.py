@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from contactkit.cli import main
+from contactkit.cli import _sphere_moment_oracle, main
 from contactkit.manifold import ContactManifold, ProjectionError
 
 
@@ -142,6 +142,25 @@ def test_sphere_table_small_budget(capsys):
                             "--rows", "3", "--budget", "8192")
     assert code == 0 and rep["pass"] is True
     assert all(row["ok"] for row in rep["rows"])
+
+
+def test_pullback_of_a_diagonal_element_on_the_three_sphere(capsys):
+    code, rep, _ = run_json(capsys, "cw", "pullback", "--manifold", "sphere",
+                            "--action", "diagonal", "--element", "1,2", "--k", "2",
+                            "--budget", "8192")
+    assert code == 0 and rep["pass"] is True
+    assert list(rep) == ["command", "seed", "manifold", "action", "k", "budget", "value",
+                         "std_error", "method", "samples", "pass", "timestamp"]
+    assert (rep["command"], rep["manifold"], rep["action"]) == \
+        ("cw pullback", "sphere(n=1)", "diagonal-torus")
+    assert (rep["k"], rep["budget"], rep["samples"]) == (2, 8192, 8192)
+    # I(a, a) = pi^2 / 24 ((a_0 + a_1)^2 + a_0^2 + a_1^2) on S^3, from the
+    # Dirichlet moments of |z_j|^2 on the simplex
+    exact = math.pi ** 2 / 24.0 * ((1.0 + 2.0) ** 2 + 1.0 + 4.0)
+    assert _sphere_moment_oracle(1, 1.0, np.array([1.0, 2.0]), np.array([1.0, 2.0])) == \
+        pytest.approx(exact, rel=1e-15)
+    assert abs(rep["value"] - exact) <= 3.0 * rep["std_error"]
+    assert rep["value"] == pytest.approx(exact, rel=1e-3)
 
 
 def test_volume_of_the_round_sphere(capsys):

@@ -190,3 +190,32 @@ def test_abs_and_comparisons_use_value_part():
 def test_dual_exponent_rejected():
     with pytest.raises(TypeError):
         Dual(2.0, 1.0) ** Dual(1.0, 0.0)
+
+
+def test_reflected_subtraction_and_division():
+    # user fields reach 1 - x and 1 / x with a number on the left
+    x = Dual(4.0, 3.0)
+    diff = 1.0 - x
+    assert (value(diff), epsilon(diff)) == (-3.0, -3.0)
+    quot = 2.0 / x
+    # d(2 / x) = -2 dx / x^2
+    assert (value(quot), epsilon(quot)) == (0.5, -2.0 * 3.0 / 16.0)
+    xs = Dual(np.array([0.5, 2.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+    inv = 1.0 / xs
+    assert np.array_equal(inv.val, [2.0, 0.5])
+    assert np.array_equal(inv.eps, [[-4.0, 0.0], [0.0, -0.25]])
+    assert np.array_equal((1.0 - xs).eps, -xs.eps)
+
+
+@given(st.floats(min_value=-1.4, max_value=1.4))
+def test_tan_derivative_is_secant_squared(x):
+    y = np.tan(Dual(x, 1.0))
+    assert value(y) == np.tan(x)
+    assert math.isclose(epsilon(y), 1.0 / math.cos(x) ** 2, rel_tol=1e-14)
+
+
+def test_greater_or_equal_and_repr():
+    x = Dual(2.0, -1.0)
+    assert (x >= 2.0) and (x >= Dual(1.0, 5.0)) and not (x >= 2.5)
+    assert repr(x) == "Dual(2.0, -1.0)"
+    assert repr(Dual(np.array([1.0]), 0.0)) == "Dual(array([1.]), 0.0)"

@@ -204,15 +204,37 @@ def test_a_complex_number_or_a_dual_is_a_type_error(mode):
                 call()
 
 
-def test_a_complex_array_is_a_complex_warning():
+def test_a_complex_array_is_a_type_error():
+    # on a batch the coefficients are complex arrays, which np.asarray would
+    # cast to their real part with only a ComplexWarning
     form, scalar = complex_form_and_field()
     pts = rng.normal(size=(4, 3))
     frame = np.broadcast_to(np.eye(3), (4, 3, 3))
-    for call in (lambda: form.coefficients(pts), lambda: form.dmatrix(pts, frame),
-                 lambda: scalar(pts)):
-        with pytest.warns(ComplexWarning):
-            call()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ComplexWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        for call in (lambda: form.coefficients(pts), lambda: form.dmatrix(pts, frame),
+                     lambda: scalar(pts), lambda: scalar(pts[:1]),
+                     lambda: scalar.gradient(pts)):
+            with pytest.raises(TypeError, match="complex"):
                 call()
+
+
+def test_a_numpy_complex_scalar_is_a_type_error():
+    form = OneForm(lambda c: [np.complex128(1.0), c[1], c[2]], 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        for pts in (rng.normal(size=3), rng.normal(size=(2, 3))):
+            with pytest.raises(TypeError, match="complex"):
+                form.coefficients(pts)
+
+
+def test_scalar_field_raw_and_vector_field_raw_take_coordinate_lists():
+    f = quadratic()
+    x = VectorField(lambda c: [c[1], -c[0], 0.0 * c[2]], 3)
+    assert f.raw([1.0, 2.0, 3.0]) == 1.0 + 4.0 - 3.0
+    assert x.raw([1.0, 2.0, 3.0]) == [2.0, -1.0, 0.0]
+    pts = rng.normal(size=(6, 3))
+    assert np.array_equal(np.column_stack(x.raw(list(pts.T))), x(pts))
+    # Duals pass through raw unchanged: the derivative along e_0 of (y, -x, 0)
+    dual = x.raw([Dual(1.0, 1.0), Dual(2.0, 0.0), Dual(3.0, 0.0)])
+    assert [c.eps for c in dual] == [0.0, -1.0, 0.0]

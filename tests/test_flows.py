@@ -56,6 +56,14 @@ def test_zero_time_gives_single_sample(sphere):
     assert len(traj.times) == 1 and traj.total_time == 0.0
 
 
+def test_trajectory_length_is_its_sample_count(golden):
+    traj = integrate_flow(golden, golden_field(golden), sample(golden, 1)[0], 0.5,
+                          max_step=0.05)
+    # one sample per accepted step and one for the start
+    assert len(traj) == traj.steps + 1 == len(traj.points) == traj.stats()["samples"]
+    assert traj.steps >= 10
+
+
 def test_negative_time_and_bad_tolerance_rejected(sphere):
     start = sample(sphere, 1)[0]
     with pytest.raises(ValueError):
@@ -84,14 +92,15 @@ def test_each_accepted_step_evaluates_the_constraints_twice(golden):
     counted, calls = counting_constraints(golden)
     start = sample(golden, 1)[0]
     traj = integrate_flow(counted, golden_field(counted), start, 2.0)
-    # one seeded pass (drift, values and Jacobian) and one plain check of
-    # the Newton update per step, plus one pass that projects the start
+    # one constraint pass (drift and values from a plain evaluation, the
+    # Jacobian from the gradient map) and one plain check of the Newton
+    # update per step, plus one pass that projects the start
     assert traj.steps > 100
     assert len(calls) <= 2 * traj.steps + 1
     calls.clear()
     counted.project(np.random.default_rng(5).normal(size=(40, 4)))
-    # k Newton updates take one seeded pass, k value checks and k - 1
-    # further Jacobians: 2k evaluations
+    # k Newton updates take one constraint pass and k value checks; the
+    # k - 1 further Jacobians come from the map: k + 1 evaluations
     assert len(calls) <= 14
 
 
@@ -174,6 +183,12 @@ def test_birkhoff_average_of_invariant_quantity_is_flat(sphere):
 
 
 def test_birkhoff_converges_to_space_average_on_ergodic_flow(golden):
+    # The golden Reeb flow is not ergodic: it is integrable, |z0|^2 is a
+    # first integral and each orbit fills an invariant torus (see demo 03).
+    # The time and space averages of Re(z0 conj(z1)) still agree: the
+    # relative phase of z0 and z1 turns at the constant rate 2 pi (1 - phi),
+    # so the observable averages to zero on every invariant torus, as it
+    # does on the whole ellipsoid.
     obs = lambda pts: pts[:, 0] * pts[:, 2] + pts[:, 1] * pts[:, 3]
     start = sample(golden, 1)[0]
     traj = integrate_flow(golden, golden_field(golden), start, 120.0,

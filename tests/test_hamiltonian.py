@@ -229,3 +229,13 @@ def test_second_dual_layer_through_a_bracket_raises():
         bracket_hamiltonian(h3, nested).field.directional(pts, vecs)
     # one layer stays supported
     assert np.all(np.isfinite(nested.field.directional(pts, vecs)))
+
+
+def test_calling_a_hamiltonian_evaluates_its_function(sphere):
+    h = hamiltonian(sphere, lambda c: c[0] * c[1] - 2.0 * c[3] + 0.5, name="poly")
+    pts = sample(sphere, 12)
+    expected = pts[:, 0] * pts[:, 1] - 2.0 * pts[:, 3] + 0.5
+    assert np.array_equal(h(pts), expected)
+    one = h(pts[5])
+    assert isinstance(one, float) and one == expected[5]
+    assert np.array_equal(h.values(pts), expected)

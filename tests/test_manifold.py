@@ -272,7 +272,8 @@ def test_each_derivative_is_one_pass(golden):
         return level.fn(coords)
 
     m = replace(golden, form=OneForm(counted_form, golden.ambient_dim),
-                constraints=(ScalarField(counted_level, golden.ambient_dim),))
+                constraints=(ScalarField(counted_level, golden.ambient_dim,
+                                         gradient_map=level.gradient_map),))
     pts = sample(golden, 6)
     vecs = golden.random_tangents(pts, np.random.default_rng(8))
 
@@ -408,3 +409,54 @@ def test_reflection_frame_rank_loss_raises_without_warning(sphere, golden, cotan
             for pts in (bad, batch):
                 with pytest.raises(DegenerateFrameError):
                     m.tangent_frame(pts)
+
+
+# quadratic constraints: gradients from their affine maps
+
+def test_gradient_maps_match_the_seeded_gradients():
+    mapped = 0
+    for m in _constrained_zoo():
+        pts = sample(m, 200, seed=11)
+        grads = m.constraint_gradients(pts)
+        for i, c in enumerate(m.constraints):
+            seeded = c.gradient(pts)
+            if c.gradient_map is None:
+                assert np.array_equal(grads[:, i], seeded), (m.name, c.name)
+                continue
+            mapped += 1
+            jac, shift = c.gradient_map
+            assert np.array_equal(grads[:, i], pts @ jac + shift), (m.name, c.name)
+            err = np.linalg.norm(grads[:, i] - seeded, axis=1)
+            assert np.all(err <= 1e-15 * np.linalg.norm(seeded, axis=1)), (m.name, c.name)
+    # |z|^2 - 1 on three spheres, H_w - 1 on two ellipsoids, |q|^2 - 1 and
+    # q.p on two cotangent bundles; |p|_g - 1 is seeded
+    assert mapped == 9
+
+
+def test_constraint_pass_values_are_the_seeded_values():
+    from contactkit.dual import seed, value
+    for m in _constrained_zoo():
+        noise = np.random.default_rng(12).normal(size=(50, m.ambient_dim))
+        pts = sample(m, 50, seed=12) + 1e-7 * noise
+        vals, grads = m._constraint_pass(pts)
+        coords = seed(list(pts.T))
+        for i, c in enumerate(m.constraints):
+            assert np.array_equal(vals[:, i], value(c.fn(coords))), (m.name, c.name)
+        assert np.array_equal(grads, m.constraint_gradients(pts)), m.name
+        one_vals, one_grads = m._constraint_pass(pts[4])
+        assert np.array_equal(one_vals, vals[4:5]) and np.array_equal(one_grads, grads[4:5])
+
+
+def test_point_accepts_points_on_the_manifold_only(sphere, golden, torus):
+    for m in (sphere, golden):
+        on = sample(m, 1, seed=4)[0]
+        p = m.point(on)
+        assert isinstance(p, np.ndarray) and np.array_equal(p, on)
+        assert m.constraint_residual(p) <= 1e-12
+        with pytest.raises(ValueError, match="violates constraints"):
+            m.point(1.01 * on)
+    with pytest.raises(ValueError, match="violates constraints"):
+        sphere.point([1.0, 1.0, 0.0, 0.0])
+    # a periodic chart has no constraints and wraps into [0, period)
+    wrapped = torus.point([7.0, -1.0, 0.5])
+    assert np.allclose(wrapped, [7.0 - 2.0 * math.pi, 2.0 * math.pi - 1.0, 0.5], atol=1e-15)

@@ -54,6 +54,44 @@ def test_weighted_closed_form_flow_solves_reeb_ode(golden):
     assert np.max(np.abs(vel - zoo.weighted_reeb_closed_form(golden, path[4]))) < 1e-7
 
 
+def _strided_rotation(pts, rates, s):
+    """i diag(rates) z in real coordinates over s, entry by entry: the
+    oracle for the closed-form fields' matrix product."""
+    q = np.atleast_2d(pts)
+    out = np.empty_like(q)
+    out[:, 0::2] = -rates * q[:, 1::2]
+    out[:, 1::2] = rates * q[:, 0::2]
+    return out[0] / s if np.ndim(pts) == 1 else out / s
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37, 2.5])
+def test_closed_form_fields_equal_the_entrywise_formula(scale):
+    cases = [(zoo.standard_sphere(n, form_scale=scale), zoo.sphere_reeb_closed_form,
+              np.full(n + 1, 2.0)) for n in (1, 2, 3)]
+    for w in ([1.0, (1.0 + math.sqrt(5.0)) / 2.0], [1.0, math.sqrt(2.0), math.sqrt(3.0)]):
+        m = zoo.weighted_sphere(w, form_scale=scale)
+        cases.append((m, zoo.weighted_reeb_closed_form, 2.0 * math.pi * np.asarray(w)))
+    for m, field, rates in cases:
+        pts = sample(m, 64, seed=3)
+        batch = field(m, pts)
+        assert batch.shape == pts.shape
+        assert np.array_equal(batch, _strided_rotation(pts, rates, scale)), m.key()
+        for i in (0, 17, 63):
+            one = field(m, pts[i])
+            assert one.shape == pts[i].shape
+            assert np.array_equal(one, _strided_rotation(pts[i], rates, scale)), m.key()
+            assert np.array_equal(one, batch[i]), m.key()
+
+
+def test_closed_form_matrix_is_shared_and_read_only(golden):
+    jt = zoo._rotation_transpose(golden.params["weights"], 2.0 * math.pi)
+    assert zoo._rotation_transpose(golden.params["weights"], 2.0 * math.pi) is jt
+    assert not jt.flags.writeable
+    assert np.count_nonzero(jt, axis=1).tolist() == [1, 1, 1, 1]
+    # the key of a manifold does not see the cached matrix
+    assert golden.key() == "weighted-sphere(weights=(1.0, 1.618033988749895))"
+
+
 def test_weighted_rejects_bad_weights():
     with pytest.raises(ValueError):
         zoo.weighted_sphere([1.0, -2.0])
