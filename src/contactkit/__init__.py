@@ -16,8 +16,8 @@ from .zoo import (standard_sphere, torus3, degenerate_torus, weighted_sphere,
                   torus_reeb_closed_form, weighted_reeb_closed_form,
                   weighted_flow_closed_form, round_geodesic_closed_form,
                   hopf_projection)
-from .integrate import IntegralResult, integrate, contact_volume, default_threads
-from .hamiltonian import (Hamiltonian, hamiltonian, constant_hamiltonian,
+from .integrate import IntegralResult, contact_volume, default_threads
+from .hamiltonian import (Hamiltonian, constant_hamiltonian,
                           field_to_hamiltonian, hamiltonian_to_field,
                           is_reeb_invariant, bracket, bracket_hamiltonian,
                           adjoint, NestedDualError)
@@ -48,8 +48,8 @@ __all__ = [
     "unit_cotangent_sphere", "catalog", "sphere_reeb_closed_form",
     "torus_reeb_closed_form", "weighted_reeb_closed_form",
     "weighted_flow_closed_form", "round_geodesic_closed_form", "hopf_projection",
-    "IntegralResult", "integrate", "contact_volume", "default_threads",
-    "Hamiltonian", "hamiltonian", "constant_hamiltonian", "field_to_hamiltonian",
+    "IntegralResult", "contact_volume", "default_threads",
+    "Hamiltonian", "constant_hamiltonian", "field_to_hamiltonian",
     "hamiltonian_to_field", "is_reeb_invariant", "bracket", "bracket_hamiltonian",
     "adjoint", "NestedDualError",
     "FlowTrajectory", "IntegrationError", "integrate_flow", "flow_points",

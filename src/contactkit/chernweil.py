@@ -240,22 +240,16 @@ def reeb_circle_pullback(m: ContactManifold, k: int, t: float,
     Reeb circle has period 2 pi (possible only when the manifold records
     a finite Reeb period).
     """
-    const = hamiltonian(m, lambda coords, tt=float(t): 0.0 * coords[0] + tt,
-                        name=f"const({t:g})", reeb_invariant=True)
-    raw = invariant_polynomial_I(m, [const] * max(k, 1), budget=budget,
-                                 seed=seed, threads=threads)
-    if k == 0:
-        raw = contact_volume(m, budget=budget, seed=seed, threads=threads)
-    report = {"raw": raw, "normalized": None, "scale": None}
-    if m.reeb_period is not None:
-        scale = 2.0 * np.pi / m.reeb_period
-        scaled = m.scaled(scale)
-        const_s = hamiltonian(scaled, lambda coords, tt=float(t): 0.0 * coords[0] + tt,
-                              reeb_invariant=True)
-        norm = invariant_polynomial_I(scaled, [const_s] * max(k, 1),
-                                      budget=budget, seed=seed, threads=threads)
+    def pullback(target: ContactManifold) -> IntegralResult:
         if k == 0:
-            norm = contact_volume(scaled, budget=budget, seed=seed, threads=threads)
-        report["normalized"] = norm
-        report["scale"] = scale
+            return contact_volume(target, budget=budget, seed=seed, threads=threads)
+        const = hamiltonian(target, lambda coords, tt=float(t): 0.0 * coords[0] + tt,
+                            name=f"const({t:g})", reeb_invariant=True)
+        return invariant_polynomial_I(target, [const] * k, budget=budget,
+                                      seed=seed, threads=threads)
+
+    report = {"raw": pullback(m), "normalized": None, "scale": None}
+    if m.reeb_period is not None:
+        report["scale"] = 2.0 * np.pi / m.reeb_period
+        report["normalized"] = pullback(m.scaled(report["scale"]))
     return report

@@ -1,12 +1,16 @@
 """Integration of scalar fields against the contact volume form.
 
-Two engines share one entry point.  Flat periodic charts use a product
-trapezoid rule, which is exact to roundoff once the per-axis node count
-exceeds the trigonometric bandwidth of the integrand.  Constraint
-manifolds use scrambled-Sobol sampling of a reference measure with
-explicit density weights; the reported standard error is the sample
-standard deviation over sqrt(N), a conservative figure for quasi-random
-points.
+One engine serves every manifold.  The manifold's ``reference_sampler``
+(the rules live in ``zoo``) is its whole quadrature rule:
+``reference_sampler(m, budget, seed)`` turns the evaluation budget into
+``(points, weights or None, scale, sampled)``, and the integral is
+scale * sum(f * defect * weight).  A deterministic rule, such as the
+product trapezoid grid on the flat torus (exact to roundoff once the
+per-axis node count exceeds the trigonometric bandwidth of the
+integrand), reports a zero error.  A sampled rule, scrambled Sobol
+points on a reference measure with explicit density weights, reports
+the sample standard deviation over sqrt(N) times the measure, a
+conservative figure for quasi-random points.
 
 Evaluation is chunked, optionally across a thread pool
 (``CONTACTKIT_THREADS``); partial sums are combined in index order with
@@ -20,11 +24,11 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import ScalarField, constant_field
 from .manifold import ContactManifold, GeometryError
 
 _CHUNK = 1 << 16
@@ -58,38 +62,50 @@ def default_threads() -> int:
         return 1
 
 
-def _chunk_stats(vals: np.ndarray):
-    return (math.fsum(vals), math.fsum(vals * vals), vals.size)
-
-
 def integrate(m: ContactManifold, f: ScalarField, budget: int = 1 << 17,
-              seed: int = 0, nodes: Optional[int] = None,
-              threads: Optional[int] = None) -> IntegralResult:
+              seed: int = 0, threads: Optional[int] = None) -> IntegralResult:
     """Integral of f against alpha ^ (d alpha)^n over the manifold.
 
-    budget is the total evaluation count; for periodic charts it is
-    turned into a per-axis node count unless nodes is given, for
-    sampling engines it is rounded up to a power of two.
+    budget is the evaluation count that the manifold's rule turns into
+    its nodes; seed scrambles a sampled rule.
     """
-    if m.periodic:
-        return _integrate_grid(m, f, budget, nodes, threads)
     if m.reference_sampler is None:
         raise GeometryError(f"{m.name} has no reference sampler for integration")
-    return _integrate_sampled(m, f, budget, seed, threads)
+
+    def integrand(block):
+        return np.asarray(f(block), dtype=float) * m.contact_defect(block)
+
+    return apply_rule(integrand, m.reference_sampler(m, budget, seed), seed, threads)
 
 
-def _eval_chunks(pts: np.ndarray, weights, m: ContactManifold, f: ScalarField,
+def apply_rule(integrand: Callable, rule: tuple, seed: int,
+               threads: Optional[int] = None) -> IntegralResult:
+    """scale * sum(integrand * weight) over the nodes of a rule
+    (points, weights or None, scale, sampled); a sampled rule's error is
+    the iid standard error, a deterministic rule's is zero."""
+    pts, weights, scale, sampled = rule
+    total, total_sq, count = _eval_chunks(integrand, pts, weights, threads)
+    if not sampled:
+        return IntegralResult(value=scale * total, std_error=0.0,
+                              method="quadrature", samples=count, seed=None)
+    mean = total / count
+    var = max(0.0, total_sq / count - mean * mean)
+    return IntegralResult(value=scale * total,
+                          std_error=scale * count * math.sqrt(var / count),
+                          method="monte-carlo", samples=count, seed=seed)
+
+
+def _eval_chunks(integrand: Callable, pts: np.ndarray, weights,
                  threads: Optional[int]):
-    """Ordered per-chunk compensated sums of f * defect * weight."""
+    """Ordered per-chunk compensated sums of integrand * weight."""
     nthreads = default_threads() if threads is None else max(1, int(threads))
     chunks = [slice(i, min(i + _CHUNK, pts.shape[0])) for i in range(0, pts.shape[0], _CHUNK)]
 
     def work(sl):
-        block = pts[sl]
-        vals = np.asarray(f(block), dtype=float) * m.contact_defect(block)
+        vals = integrand(pts[sl])
         if weights is not None:
             vals = vals * weights[sl]
-        return _chunk_stats(vals)
+        return math.fsum(vals), math.fsum(vals * vals), vals.size
 
     if nthreads == 1 or len(chunks) == 1:
         stats = [work(sl) for sl in chunks]
@@ -102,36 +118,8 @@ def _eval_chunks(pts: np.ndarray, weights, m: ContactManifold, f: ScalarField,
     return total, total_sq, count
 
 
-def _integrate_grid(m: ContactManifold, f: ScalarField, budget: int,
-                    nodes: Optional[int], threads: Optional[int]) -> IntegralResult:
-    d = m.ambient_dim
-    if nodes is None:
-        nodes = max(9, int(round(budget ** (1.0 / d))))
-    ticks = np.arange(nodes) * (m.period / nodes)
-    grids = np.meshgrid(*([ticks] * d), indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    total, _, count = _eval_chunks(pts, None, m, f, threads)
-    cell = (m.period / nodes) ** d
-    return IntegralResult(value=cell * total, std_error=0.0,
-                          method="quadrature", samples=count, seed=None)
-
-
-def _integrate_sampled(m: ContactManifold, f: ScalarField, budget: int,
-                       seed: int, threads: Optional[int]) -> IntegralResult:
-    count = 1 << max(8, math.ceil(math.log2(max(2, budget))))
-    pts, weights, total_measure = m.reference_sampler(m, count, seed)
-    total, total_sq, n = _eval_chunks(pts, weights, m, f, threads)
-    mean = total / n
-    var = max(0.0, total_sq / n - mean * mean)
-    std_err = total_measure * math.sqrt(var / n)
-    return IntegralResult(value=total_measure * mean, std_error=std_err,
-                          method="monte-carlo", samples=n, seed=seed)
-
-
 def contact_volume(m: ContactManifold, budget: int = 1 << 17, seed: int = 0,
-                   nodes: Optional[int] = None,
                    threads: Optional[int] = None) -> IntegralResult:
     """Total contact volume: the integral of 1."""
-    from .fields import constant_field
     return integrate(m, constant_field(1.0, m.ambient_dim), budget=budget,
-                     seed=seed, nodes=nodes, threads=threads)
+                     seed=seed, threads=threads)

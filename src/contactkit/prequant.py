@@ -20,10 +20,10 @@ import numpy as np
 from .dual import Dual, epsilon, value
 from .fields import ScalarField
 from .hamiltonian import Hamiltonian, hamiltonian
-from .integrate import IntegralResult, integrate
+from .integrate import IntegralResult, apply_rule, integrate
 from .manifold import ContactManifold, GeometryError
-from .zoo import hopf_components, hopf_projection, standard_sphere, _sobol_block, \
-    _gaussianize, _unit_rows
+from .zoo import hopf_components, hopf_projection, standard_sphere, _sample_count, \
+    _sphere_nodes
 
 
 class FiberError(GeometryError):
@@ -100,28 +100,24 @@ def hopf_prequantization(scale: float = 1.0, samples: int = 256,
                            1 if c > 0 else -1, float(period), dispersion)
 
 
-def _base_points(count: int, seed: int) -> np.ndarray:
-    """Scrambled quasi-random points on the unit 2-sphere."""
-    block = _sobol_block(3, count, seed)
-    return _unit_rows(_gaussianize(block))
-
-
 def base_integral(preq: Prequantization, fields: Sequence, budget: int = 1 << 16,
                   seed: int = 0) -> IntegralResult:
     """Integral of a product of base functions against omega.
 
     omega = omega_scale x (round area form), so the value is
-    omega_scale x 4 pi x (spherical mean of the product).
+    omega_scale x 4 pi x (spherical mean of the product), sampled like
+    the round sphere's rule.
     """
-    count = 1 << max(8, (int(budget) - 1).bit_length())
-    pts = _base_points(count, seed)
-    vals = np.ones(count)
-    for f in fields:
-        vals = vals * np.asarray(f(pts), dtype=float)
-    mean = float(np.mean(vals))
-    std = float(np.std(vals)) / math.sqrt(count)
-    total = preq.omega_total
-    return IntegralResult(total * mean, total * std, "monte-carlo", count, seed)
+    count = _sample_count(budget)
+
+    def product(block):
+        vals = np.ones(len(block))
+        for f in fields:
+            vals = vals * np.asarray(f(block), dtype=float)
+        return vals
+
+    rule = (_sphere_nodes(3, count, seed), None, preq.omega_total / count, True)
+    return apply_rule(product, rule, seed)
 
 
 def section(preq: Prequantization, base_pts) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Each constructor returns a :class:`ContactManifold` carrying the
 ambient constraints, the contact form, an orientation sign making the
-contact volume density positive, and samplers used by the integration
-engines.  Complex coordinates z_j = x_j + i y_j on R^(2n+2) are stored
-interleaved: (x_0, y_0, x_1, y_1, ...).
+contact volume density positive, a test sampler, and the quadrature
+rule ``reference_sampler(m, budget, seed) -> (points, weights or None,
+scale, sampled)`` of ``integrate``: scrambled Sobol nodes, or a product
+trapezoid grid on the flat torus.  Complex coordinates z_j = x_j + i y_j
+on R^(2n+2) are stored interleaved: (x_0, y_0, x_1, y_1, ...).
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ def _sobol_block(dim: int, count: int, seed: int) -> np.ndarray:
     return eng.random_base2(int(round(math.log2(count))))
 
 
+def _sample_count(budget) -> int:
+    """The next power of two >= budget, at least 2^8: measure/count is exact."""
+    return 1 << max(8, (max(1, math.ceil(budget)) - 1).bit_length())
+
+
 def _gaussianize(u: np.ndarray) -> np.ndarray:
     # keep ndtri away from 0/1 endpoints
     return ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
@@ -45,10 +52,15 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 # round spheres
 
 
-def _sphere_reference(m: ContactManifold, count: int, seed: int):
-    u = _sobol_block(m.ambient_dim, count, seed)
-    pts = _unit_rows(_gaussianize(u))
-    return pts, np.ones(count), sphere_volume(m.ambient_dim)
+def _sphere_nodes(dim: int, count: int, seed: int) -> np.ndarray:
+    """count scrambled Sobol points pushed onto the unit sphere in R^dim."""
+    return _unit_rows(_gaussianize(_sobol_block(dim, count, seed)))
+
+
+def _sphere_reference(m: ContactManifold, budget: int, seed: int):
+    count = _sample_count(budget)
+    return (_sphere_nodes(m.ambient_dim, count, seed), None,
+            sphere_volume(m.ambient_dim) / count, True)
 
 
 def _sphere_test_points(m: ContactManifold, count: int, rng) -> np.ndarray:
@@ -114,9 +126,14 @@ def _torus_test_points(m: ContactManifold, count: int, rng) -> np.ndarray:
     return rng.uniform(0.0, m.period, size=(count, 3))
 
 
-def _torus_reference(m: ContactManifold, count: int, seed: int):
-    pts = m.period * _sobol_block(3, count, seed)
-    return pts, np.ones(count), m.period ** 3
+def _torus_reference(m: ContactManifold, budget: int, seed: int):
+    """Product trapezoid grid of max(9, round(budget^(1/3))) nodes per axis."""
+    d = m.ambient_dim
+    nodes = max(9, int(round(budget ** (1.0 / d))))
+    ticks = np.arange(nodes) * (m.period / nodes)
+    grids = np.meshgrid(*([ticks] * d), indexing="ij")
+    pts = np.column_stack([g.ravel() for g in grids])
+    return pts, None, (m.period / nodes) ** d, False
 
 
 def torus3(winding: int = 1) -> ContactManifold:
@@ -182,13 +199,14 @@ def _ellipsoid_axes(weights: Sequence[float]) -> np.ndarray:
     return np.repeat(1.0 / np.sqrt(math.pi * np.asarray(weights, dtype=float)), 2)
 
 
-def _ellipsoid_reference(m: ContactManifold, count: int, seed: int):
+def _ellipsoid_reference(m: ContactManifold, budget: int, seed: int):
+    count = _sample_count(budget)
     axes = _ellipsoid_axes(m.params["weights"])
-    u = _unit_rows(_gaussianize(_sobol_block(m.ambient_dim, count, seed)))
+    u = _sphere_nodes(m.ambient_dim, count, seed)
     pts = u * axes[None, :]
     # surface-measure distortion of a linear map on the unit sphere
     weights = np.prod(axes) * np.linalg.norm(u / axes[None, :], axis=1)
-    return pts, weights, sphere_volume(m.ambient_dim)
+    return pts, weights, sphere_volume(m.ambient_dim) / count, True
 
 
 def _ellipsoid_test_points(m: ContactManifold, count: int, rng) -> np.ndarray:
@@ -290,9 +308,10 @@ def _cotangent_chart(f: Callable):
     return chart
 
 
-def _cotangent_reference(m: ContactManifold, count: int, seed: int):
+def _cotangent_reference(m: ContactManifold, budget: int, seed: int):
     from .dual import epsilon, seed as seeded_along, value
 
+    count = _sample_count(budget)
     chart = _cotangent_chart(m.params["conformal_exponent"])
     u = _sobol_block(4, count, seed)
     g = _gaussianize(u[:, :3])
@@ -311,7 +330,7 @@ def _cotangent_reference(m: ContactManifold, count: int, seed: int):
     jac = np.swapaxes(jac, 0, 1)
     gram = np.einsum("nia,nja->nij", jac, jac)
     weights = np.sqrt(np.linalg.det(gram))
-    return pts, weights, 4.0 * math.pi * 2.0 * math.pi
+    return pts, weights, 4.0 * math.pi * 2.0 * math.pi / count, True
 
 
 def _cotangent_test_points(m: ContactManifold, count: int, rng) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Moment maps, invariant polynomials, positivity, circle pullbacks."""
 
+import importlib
 import math
 
 import numpy as np
@@ -157,6 +158,24 @@ def test_constant_hamiltonians_give_powers_times_volume(sphere):
             assert out["scale"] == pytest.approx(2.0)
             assert out["normalized"].value == pytest.approx(t ** k * 4.0 * vol,
                                                             rel=1e-12, abs=1e-12)
+
+
+def test_circle_pullback_integrates_only_what_it_returns(sphere, monkeypatch):
+    # one quadrature pass for the raw form and one for the normalised form
+    engine = importlib.import_module("contactkit.integrate")
+    passes = []
+    original = engine._eval_chunks
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_eval_chunks", counted)
+    for k in (0, 2):
+        passes.clear()
+        out = reeb_circle_pullback(sphere, k, 0.7, budget=1 << 8)
+        assert len(passes) == 2, k
+        assert out["raw"].value == pytest.approx(0.7 ** k * math.pi ** 2, rel=1e-12)
 
 
 def test_circle_pullback_without_period_skips_normalization(torus):

@@ -114,3 +114,12 @@ def test_default_threads_reads_environment(monkeypatch):
     assert default_threads() == 1
     monkeypatch.delenv("CONTACTKIT_THREADS")
     assert default_threads() == 1
+
+
+def test_submodules_are_reachable_under_their_own_names():
+    # the package re-exports no function named like one of its submodules
+    import contactkit.hamiltonian as H
+    import contactkit.integrate as I
+
+    assert callable(I.integrate) and callable(I.contact_volume)
+    assert callable(H.bracket_hamiltonian) and callable(H.hamiltonian)

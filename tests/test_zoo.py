@@ -20,6 +20,38 @@ def test_catalog_builds_every_entry():
             assert np.all(defect > 0.0), name
 
 
+# total reference measure of each catalog entry's quadrature rule
+_RULE_MEASURE = {
+    "sphere": zoo.sphere_volume(4),
+    "weighted": zoo.sphere_volume(4),
+    "torus3": (2.0 * math.pi) ** 3,
+    "degenerate-torus": (2.0 * math.pi) ** 3,
+    "cotangent-round": 8.0 * math.pi ** 2,
+    "cotangent-bump": 8.0 * math.pi ** 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(zoo.catalog()))
+@pytest.mark.parametrize("budget", [1, 100, 256, 1000, 5000])
+def test_quadrature_rule_contract(name, budget):
+    m = zoo.catalog()[name]()
+    pts, weights, scale, sampled = m.reference_sampler(m, budget, 3)
+    count = pts.shape[0]
+    assert pts.shape == (count, m.ambient_dim)
+    for c in m.constraints:
+        assert np.max(np.abs(c(pts))) <= 1e-12, c.name
+    if m.periodic:
+        assert not sampled and weights is None
+        assert np.all((pts >= 0.0) & (pts < m.period))
+        assert count == max(9, round(budget ** (1.0 / 3.0))) ** 3
+        assert scale * count == pytest.approx(_RULE_MEASURE[name], rel=1e-14)
+    else:
+        assert sampled
+        assert count == max(256, 1 << (budget - 1).bit_length())
+        assert scale * count == _RULE_MEASURE[name]
+        assert weights is None or (weights.shape == (count,) and np.all(weights > 0))
+
+
 def test_sphere_dimensions():
     for n in (1, 2, 3):
         m = zoo.standard_sphere(n)
