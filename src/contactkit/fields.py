@@ -197,18 +197,28 @@ class OneForm:
     def dmatrix(self, pts, frame):
         """Matrix d(form)(e_i, e_j) over a frame.
 
-        pts has shape (N, d) and frame (N, m, d); returns (N, m, m).
-        One AD pass carries all m frame vectors.
+        pts (N, d) with frame (N, m, d) gives (N, m, m); a point (d,) with
+        a frame (m, d) gives (m, m).  One AD pass carries all m frame
+        vectors.  The work runs on planes, the point index last: the frame
+        as F = frame.transpose(2, 1, 0), (d, m, N), which is contiguous
+        for a tangent_frame and copied otherwise, the derivatives of the
+        d coefficients along it as E (d, m, N), and D = A - A^T with
+        A = sum_b E_b (x) F_b summed in index order.  The result is the
+        (N, m, m) view D.transpose(2, 0, 1) of the planes D (m, m, N).
         """
         pts = np.asarray(pts, dtype=float)
         frame = np.asarray(frame, dtype=float)
+        if pts.ndim == 1:
+            return self.dmatrix(pts[None], frame[None])[0]
+        planes = np.ascontiguousarray(frame.transpose(2, 1, 0))
         coords = [pts[:, a] for a in range(self.dim)]
-        deriv = self.coefficient_derivative(coords, [frame[:, :, a].T for a in range(self.dim)])
-        # each derivative is (m, N) with the memory order of frame[:, :, a].T,
-        # so its transpose is read in order while filling (N, m, d)
-        deriv = _stack([np.transpose(c) for c in deriv], frame.shape[:2])
-        a_mat = np.einsum("nia,nja->nij", deriv, frame)
-        return a_mat - np.swapaxes(a_mat, 1, 2)
+        deriv = np.empty(planes.shape)
+        for b, c in enumerate(self.coefficient_derivative(coords, list(planes))):
+            deriv[b] = _real(c)
+        a_mat = deriv[0][:, None] * planes[0]
+        for e, f in zip(deriv[1:], planes[1:]):
+            a_mat += e[:, None] * f
+        return (a_mat - np.swapaxes(a_mat, 0, 1)).transpose(2, 0, 1)
 
     def __mul__(self, s):
         s = float(s)

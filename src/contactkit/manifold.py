@@ -14,6 +14,16 @@ a point is alpha ^ (d alpha)^n = n! Pf([[0, a], [-a^T, D]]) on the
 oriented orthonormal frame, a and D the values of alpha and d alpha
 there; for a contact form it is strictly positive.
 
+Storage.  The batched frame data is kept component-major, the point
+index last and contiguous: the frame as planes F (d, 2n+1, N), alpha's
+values as a (2n+1, N) and d alpha as D (2n+1, 2n+1, N), so each step is
+an array operation over N values.  tangent_frame and OneForm.dmatrix
+return the views F.transpose(2, 1, 0), (N, 2n+1, d), and
+D.transpose(2, 0, 1), (N, 2n+1, 2n+1); transposing them back gives the
+planes without a copy.  Sums over a component axis run in a fixed order
+of whole-plane additions (see _dot), so a point gives the same bits
+alone as in a batch.
+
 Contact fields solve the frame system M = [a; D^T] (see frame_system),
 or the ambient system with constraint multipliers of the dual-seeded
 solvers; _checked_pinv factorises both, raising ContactDegeneracyError
@@ -29,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dual import Dual, epsilon, seed, value
+from .dual import Dual, _unit_seeds, epsilon, seed, value
 from .fields import OneForm, ScalarField, _stack
 
 
@@ -60,7 +70,27 @@ def _checked_pinv(system: np.ndarray, what: str) -> np.ndarray:
     u, sv, vh = np.linalg.svd(system, full_matrices=False)
     if np.any(sv[:, -1] <= DEGENERACY_RTOL * sv[:, 0]):
         raise ContactDegeneracyError(f"{what} is rank deficient; the form is not contact there")
-    return np.swapaxes(vh, -1, -2) @ ((1.0 / sv)[..., None] * np.swapaxes(u, -1, -2))
+    return vh.swapaxes(-1, -2) @ ((1.0 / sv)[..., None] * u.swapaxes(-1, -2))
+
+
+def _dot(u, v):
+    """sum_a u[a] * v[a] over the leading axis of the product u * v.
+
+    The terms are summed by folding the stack in halves, term a onto term
+    a + h, h = len // 2, an odd last term onto the first, until one is
+    left: a fixed order of whole-array additions, so a point gives the
+    same bits alone as in a batch.  numpy's reductions pick their order
+    from the shape: pairwise from eight terms on, and along a contiguous
+    axis only where one exists.
+    """
+    terms = u * v
+    while len(terms) > 1:
+        half = len(terms) // 2
+        folded = terms[:half] + terms[half:2 * half]
+        if len(terms) % 2:
+            folded[0] += terms[-1]
+        terms = folded
+    return terms[0]
 
 
 def _normal_part(grads: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,7 +233,8 @@ class ContactManifold:
     # frames and the contact structure
 
     def tangent_frame(self, pts) -> np.ndarray:
-        """Oriented orthonormal tangent frames, shape (N, 2n+1, d).
+        """Oriented orthonormal tangent frames, shape (N, 2n+1, d), or
+        (2n+1, d) at a point (d,).
 
         k Householder reflections take the constraint gradients G to
         Q^T G^T = R with Q^T = H_{k-1} ... H_0 (none on a free chart); rows
@@ -211,6 +242,10 @@ class ContactManifold:
         prod_j R_jj (-1)^k, so the last row is flipped where that times
         frame_sign is negative.  Deterministic in the input point.  Raises
         DegenerateFrameError when the constraint gradients lose rank.
+
+        The reflections act on planes P[c, r] = Q^T[r, c], (d, d, N); the
+        frame is stored as the contiguous planes F (d, 2n+1, N) and
+        returned as the view F.transpose(2, 1, 0).
         """
         pts = np.asarray(pts, dtype=float)
         scalar = pts.ndim == 1
@@ -224,22 +259,28 @@ class ContactManifold:
             sv = np.linalg.svd(grads, compute_uv=False)
             if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
                 raise DegenerateFrameError("constraint gradients are linearly dependent")
-        qt, orient = np.eye(d), np.full(n_pts, float(self.frame_sign))
+        planes, orient = _unit_seeds(d, 1), float(self.frame_sign)
         for j in range(k):
-            x = (qt @ grads[:, j, :, None])[..., 0] if j else grads[:, 0].copy()
-            x[:, :j] = 0.0  # H_{j-1} ... H_0 g_j with its first j entries cut
-            norm = np.sqrt((x * x).sum(1))
+            g = grads[:, j].T
+            x = _dot(g[:, None], planes) if j else g.copy()
+            x[:j] = 0.0  # H_{j-1} ... H_0 g_j with its first j entries cut
+            norm = np.sqrt(_dot(x, x))
             if not norm.all():  # k = 1's singular value test, ahead of a 0/0
                 raise DegenerateFrameError("constraint gradients are linearly dependent")
             # v = x + s |x| e_j reflects x to R_jj e_j, R_jj = -s |x|; w = 2 v / |v|^2
-            s = np.copysign(1.0, x[:, j])
+            s = np.copysign(1.0, x[j])
             orient *= s
-            x[:, j] += s * norm
-            w = x / (s * norm * x[:, j])[:, None]
-            qt = qt - w[:, :, None] * (x[:, None, :] @ qt if j else x[:, None, :])
-        frame = np.empty((n_pts, d - k, d))
-        frame[:] = qt[..., k:, :]
-        frame[:, -1] *= orient[:, None]
+            shift = s * norm
+            x[j] += shift
+            w = x / (shift * x[j])
+            # Q^T - w (v^T Q^T) on planes, P[c, r] - (v^T Q^T)_c w_r, written
+            # over the product
+            update = (_dot(x[:, None], planes.swapaxes(0, 1)) if j else x)[:, None] * w
+            planes = np.subtract(planes, update, out=update)
+        frame = np.empty((d, d - k, n_pts))
+        frame[:] = planes[:, k:]
+        frame[:, -1] *= orient
+        frame = frame.transpose(2, 1, 0)
         return frame[0] if scalar else frame
 
     def contact_defect(self, pts) -> np.ndarray:
@@ -260,10 +301,12 @@ class ContactManifold:
         return float(out[0]) if scalar else out
 
     def _frame_data(self, q: np.ndarray) -> tuple:
-        """The oriented frame at points q (N, d), alpha in it and the d alpha matrix."""
+        """The oriented frame at points q (N, d), alpha in it and the d alpha
+        matrix: the frame (N, 2n+1, d) and the planes a (2n+1, N) and
+        D (2n+1, 2n+1, N)."""
         frame = self.tangent_frame(q)
-        a = np.einsum("na,nia->ni", self.form.coefficients(q), frame)
-        return frame, a, self.form.dmatrix(q, frame)
+        a = _dot(self.form.coefficients(q).T[:, None], frame.transpose(2, 1, 0))
+        return frame, a, self.form.dmatrix(q, frame).transpose(1, 2, 0)
 
     def frame_system(self, pts) -> tuple:
         """The contact system in the oriented orthonormal tangent frame.
@@ -278,7 +321,9 @@ class ContactManifold:
         """
         q = np.atleast_2d(np.asarray(pts, dtype=float))
         frame, a, dmat = self._frame_data(q)
-        system = np.concatenate([a[:, None], np.swapaxes(dmat, 1, 2)], axis=1)
+        system = np.empty((q.shape[0], self.dim + 1, self.dim))
+        system[:, 0] = a.T
+        system[:, 1:] = dmat.transpose(2, 1, 0)
         return frame, system, _checked_pinv(system, "restricted contact system")
 
     def reeb_field(self, pts) -> np.ndarray:
@@ -292,7 +337,8 @@ class ContactManifold:
         return reeb[0] if np.ndim(pts) == 1 else reeb
 
     def reeb_residuals(self, pts) -> dict:
-        """Defining-equation residuals of the computed Reeb field."""
+        """Defining-equation residuals of the computed Reeb field: (N,)
+        arrays, or floats at a point (d,)."""
         q = np.atleast_2d(np.asarray(pts, dtype=float))
         frame, _, pinv = self.frame_system(q)
         reeb = np.einsum("ni,nia->na", pinv[..., 0], frame)
@@ -304,7 +350,8 @@ class ContactManifold:
         if self.constraints:
             grads = self.constraint_gradients(q)
             tang_res = np.max(np.abs(np.einsum("nka,na->nk", grads, reeb)), axis=1)
-        return {"alpha": alpha_res, "pairing": pair_res, "tangency": tang_res}
+        res = {"alpha": alpha_res, "pairing": pair_res, "tangency": tang_res}
+        return {name: float(v[0]) for name, v in res.items()} if np.ndim(pts) == 1 else res
 
     # sampling
 
@@ -341,12 +388,14 @@ def _bordered_wedge(a: np.ndarray, dmat: np.ndarray, n: int) -> np.ndarray:
 
     Equals n! Pf(B) for the bordered matrix B = [[0, a], [-a^T, D]]: one
     signed sum over B's (2n+1)!! perfect matchings, each factor read from
-    a (a pair (0, i) is a_{i-1}) or from D, without forming B.
+    a (a pair (0, i) is a_{i-1}) or from D, without forming B.  Both are
+    planes with the point index last, a (2n+1, N) and D (2n+1, 2n+1, N),
+    so each factor a[i] or D[r, c] is a contiguous row of N values.
     """
-    total, term = np.zeros(a.shape[0]), np.empty(a.shape[0])
+    total, term = np.zeros(a.shape[-1]), np.empty(a.shape[-1])
     for sign, ((_, i), *pairs) in _matchings(tuple(range(2 * n + 2))):
-        factors = [dmat[:, r - 1, c - 1] for r, c in pairs] or [1.0]
-        np.multiply(a[:, i - 1], factors[0], out=term)
+        factors = [dmat[r - 1, c - 1] for r, c in pairs] or [1.0]
+        np.multiply(a[i - 1], factors[0], out=term)
         for f in factors[1:]:
             term *= f
         (np.add if sign > 0 else np.subtract)(total, term, out=total)

@@ -372,6 +372,9 @@ def unit_cotangent_sphere(conformal_exponent: Callable = None,
         zero = 0.0 * coords[0]
         return [coords[3], coords[4], coords[5], zero, zero, zero]
 
+    # for the round metric |p|_g - 1 = |p|^2 - 1 is quadratic, with gradient (0, 2p)
+    momentum_map = (None if conformal_exponent is not None
+                    else (np.diag([0.0] * 3 + [2.0] * 3), np.zeros(6)))
     m = ContactManifold(
         name=f"cotangent-{label}", n=1, ambient_dim=6,
         form=OneForm(coefs, 6, name="p.dq"),
@@ -379,7 +382,7 @@ def unit_cotangent_sphere(conformal_exponent: Callable = None,
                                  gradient_map=(np.diag([2.0] * 3 + [0.0] * 3), np.zeros(6))),
                      ScalarField(orthogonality, 6, name="q.p",
                                  gradient_map=(np.roll(np.eye(6), 3, axis=1), np.zeros(6))),
-                     ScalarField(unit_momentum, 6, name="|p|_g-1")),
+                     ScalarField(unit_momentum, 6, name="|p|_g-1", gradient_map=momentum_map)),
         frame_sign=1,
         params={"label": label, "conformal_exponent": f},
         reference_sampler=_cotangent_reference,

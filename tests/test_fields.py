@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactkit import zoo
 from contactkit.dual import Dual
 from contactkit.fields import (OneForm, ScalarField, VectorField,
                                constant_field, lie_bracket, split_point)
+from conftest import sample
 
 rng = np.random.default_rng(42)
 
@@ -99,6 +101,29 @@ def test_dmatrix_collects_pairwise_two_form():
     assert np.allclose(mat, -np.swapaxes(mat, 1, 2), atol=1e-14)
 
 
+def test_dmatrix_at_a_point_is_its_row_in_a_batch(sphere, golden, cotangent):
+    for m in (sphere, golden, cotangent):
+        pts = sample(m, 5, seed=2)
+        mat = m.form.dmatrix(pts, m.tangent_frame(pts))
+        assert mat.shape == (5, m.dim, m.dim)
+        for i in range(len(pts)):
+            alone = m.form.dmatrix(pts[i], m.tangent_frame(pts[i]))
+            assert alone.shape == (m.dim, m.dim) and np.array_equal(alone, mat[i]), m.name
+
+
+def test_dmatrix_is_indifferent_to_frame_layout(sphere, golden, cotangent):
+    for m in (sphere, golden, cotangent, zoo.standard_sphere(3)):
+        pts = sample(m, 9, seed=5)
+        frame = m.tangent_frame(pts)
+        # a transposed view of contiguous planes, a C-ordered copy, and a
+        # frame stacked from C-ordered vectors as two_form builds one
+        stacked = np.stack(list(np.ascontiguousarray(frame.swapaxes(0, 1))), axis=1)
+        assert not frame.flags.c_contiguous and stacked.flags.c_contiguous
+        mat = m.form.dmatrix(pts, frame)
+        for other in (np.ascontiguousarray(frame), stacked):
+            assert np.array_equal(m.form.dmatrix(pts, other), mat), m.name
+
+
 def test_form_scaling():
     alpha = OneForm(lambda c: [c[1], -c[0], 0.0 * c[0] + 1.0], 3)
     pts = rng.normal(size=(4, 3))
@@ -142,7 +167,6 @@ def test_constant_field_everywhere(s):
 
 
 def _zoo_manifolds():
-    from contactkit import zoo
     return [zoo.standard_sphere(1), zoo.standard_sphere(2), zoo.standard_sphere(3),
             zoo.torus3(2), zoo.weighted_sphere([1.0, (1.0 + np.sqrt(5.0)) / 2.0]),
             zoo.unit_cotangent_sphere(), zoo.catalog()["cotangent-bump"](0.3),

@@ -318,9 +318,11 @@ def _cofactor_wedge(a, dmat, n):
 
 
 def _pfaffian(mat):
-    """Pf(M) = Pf([[0, a], [-a^T, D]]) from the bordered wedge, a = M[0, 1:]."""
+    """Pf(M) = Pf([[0, a], [-a^T, D]]) from the bordered wedge, a = M[0, 1:],
+    passed as planes with the point index last."""
     m = mat.shape[-1] // 2
-    return _bordered_wedge(mat[:, 0, 1:], mat[:, 1:, 1:], m - 1) / math.factorial(m - 1)
+    planes = mat.transpose(1, 2, 0)
+    return _bordered_wedge(planes[0, 1:], planes[1:, 1:], m - 1) / math.factorial(m - 1)
 
 
 def _antisymmetric(rng, count, size):
@@ -387,13 +389,41 @@ def test_reflection_frame_is_oriented_orthonormal_and_tangent():
 
 
 def test_reflection_frame_is_the_same_alone_and_in_a_batch():
-    for m in _constrained_zoo():
-        pts = sample(m, 25, seed=7)
-        frame = m.tangent_frame(pts)
-        assert np.array_equal(frame, m.tangent_frame(pts)), m.name
-        for i in (0, 11, 24):
-            assert np.array_equal(m.tangent_frame(pts[i]), frame[i]), m.name
-        assert np.array_equal(m.tangent_frame(pts[5:9]), frame[5:9]), m.name
+    # sums over a component axis must not change order with the point count
+    for m in _constrained_zoo() + (zoo.torus3(1),):
+        for seed in (7, 8):
+            pts = sample(m, 64, seed=seed)
+            frame = m.tangent_frame(pts)
+            assert frame.shape == (64, m.dim, m.ambient_dim), m.name
+            assert np.array_equal(frame, m.tangent_frame(pts)), m.name
+            for i in range(len(pts)):
+                alone = m.tangent_frame(pts[i])
+                assert alone.shape == (m.dim, m.ambient_dim), m.name
+                assert np.array_equal(alone, frame[i]), (m.name, seed, i)
+            assert np.array_equal(m.tangent_frame(pts[5:9]), frame[5:9]), m.name
+
+
+def test_defect_and_reeb_field_are_the_same_alone_and_in_a_batch():
+    for m in _constrained_zoo() + (zoo.torus3(1),):
+        for seed in (7, 8, 9):
+            pts = sample(m, 64, seed=seed)
+            defect, reeb = m.contact_defect(pts), m.reeb_field(pts)
+            for i in range(len(pts)):
+                alone = m.contact_defect(pts[i])
+                assert isinstance(alone, float) and alone == defect[i], (m.name, seed, i)
+                assert np.array_equal(m.reeb_field(pts[i]), reeb[i]), (m.name, seed, i)
+
+
+def test_reeb_residuals_at_a_point_are_floats(sphere, golden, cotangent, torus):
+    for m in (sphere, golden, cotangent, torus):
+        pts = sample(m, 6, seed=3)
+        batch = m.reeb_residuals(pts)
+        for i in (0, 5):
+            alone = m.reeb_residuals(pts[i])
+            assert alone.keys() == batch.keys()
+            for name, value in alone.items():
+                assert isinstance(value, float), (m.name, name)
+                assert abs(value - batch[name][i]) <= 1e-14, (m.name, name)
 
 
 def test_reflection_frame_rank_loss_raises_without_warning(sphere, golden, cotangent):
@@ -429,8 +459,9 @@ def test_gradient_maps_match_the_seeded_gradients():
             err = np.linalg.norm(grads[:, i] - seeded, axis=1)
             assert np.all(err <= 1e-15 * np.linalg.norm(seeded, axis=1)), (m.name, c.name)
     # |z|^2 - 1 on three spheres, H_w - 1 on two ellipsoids, |q|^2 - 1 and
-    # q.p on two cotangent bundles; |p|_g - 1 is seeded
-    assert mapped == 9
+    # q.p on two cotangent bundles, |p|^2 - 1 on the round one; the bump
+    # bundle's |p|_g - 1 is seeded
+    assert mapped == 10
 
 
 def test_constraint_pass_values_are_the_seeded_values():
