@@ -40,6 +40,7 @@ class GroupAction:
     algebra_dim: int
     fundamental: Callable[[np.ndarray], VectorField]
     name: str = ""
+    matrix: Optional[Callable[[np.ndarray], np.ndarray]] = None  # a -> L, X(x) = L x if linear
 
     def random_element(self, rng) -> np.ndarray:
         if self.kind == "torus":
@@ -65,6 +66,10 @@ class GroupAction:
         if skew > 1e-12:
             raise ValueError(f"matrix is not anti-Hermitian: defect {skew:.3e}")
         return arr
+
+
+# z -> iz on (x, y): z -> Az is kron(Re A, I) + kron(Im A, _TURN) on (x_0, y_0, x_1, ...)
+_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def torus_shift_action(m: ContactManifold) -> GroupAction:
@@ -102,7 +107,8 @@ def diagonal_torus_action(m: ContactManifold) -> GroupAction:
 
         return VectorField(comp, m.ambient_dim, name="diag-phase")
 
-    return GroupAction("torus", m, pairs, fundamental, name="diagonal-torus")
+    return GroupAction("torus", m, pairs, fundamental, name="diagonal-torus",
+                       matrix=lambda a: np.kron(np.diag(a), _TURN))
 
 
 def unitary_action(m: ContactManifold) -> GroupAction:
@@ -132,7 +138,8 @@ def unitary_action(m: ContactManifold) -> GroupAction:
 
         return VectorField(comp, m.ambient_dim, name="unitary")
 
-    return GroupAction("unitary", m, pairs, fundamental, name="unitary")
+    return GroupAction("unitary", m, pairs, fundamental, name="unitary",
+                       matrix=lambda a: np.kron(a.real, np.eye(2)) + np.kron(a.imag, _TURN))
 
 
 def moment(action: GroupAction, pts, a) -> np.ndarray:
@@ -147,13 +154,18 @@ def moment_field(action: GroupAction, a, name: str = "") -> Hamiltonian:
     """The moment Hamiltonian of an algebra element, tagged Reeb-invariant.
 
     All bundled actions commute with the Reeb flow, so their moments are
-    invariant; tests confirm the tag by sampling.
+    invariant; tests confirm the tag by sampling.  For a linear action,
+    X(x) = L x, and a form x @ W + w0 the moment is quadratic; its
+    gradient map (WL + (WL)^T, w0 @ L) serves the ambient contact solve.
     """
     a = action.validate_element(a)
-    h = field_to_hamiltonian(action.manifold, action.fundamental(a),
-                             name=name or f"moment({action.name})")
-    return Hamiltonian(h.field, action.manifold, reeb_invariant=True,
-                       name=h.name)
+    m, form_map = action.manifold, action.manifold.form.coefficient_map
+    name = name or f"moment({action.name})"
+    field = field_to_hamiltonian(m, action.fundamental(a), name=name).field
+    if action.matrix is not None and form_map is not None:
+        wl = form_map[0] @ (lin := action.matrix(a))
+        field = ScalarField(field.fn, field.dim, name, gradient_map=(wl + wl.T, form_map[1] @ lin))
+    return Hamiltonian(field, m, reeb_invariant=True, name=name)
 
 
 def action_strictness(action: GroupAction, elements=None, t: float = 0.5,

@@ -71,8 +71,8 @@ class ScalarField:
     """Real function of ambient coordinates with exact derivatives.
 
     gradient_map, optional, is (G, g0) with grad f(x) = x @ G + g0, G (d, d)
-    and g0 (d,), for a quadratic f: a manifold's constraint pass reads
-    the gradients of such constraints from it instead of seeding them.
+    and g0 (d,), for a quadratic f: constraint passes and the ambient
+    contact solve read such gradients from it instead of seeding them.
     """
 
     def __init__(self, fn: Callable[[Sequence], object], dim: int, name: str = "",
@@ -164,13 +164,16 @@ class OneForm:
     """One-form given by ambient coefficient functions.
 
     ``coef_fn(coords)`` returns the ``d`` coefficients; the pairing with
-    a vector is the coordinate dot product.
+    a vector is the coordinate dot product.  coefficient_map, optional, is
+    (W, w0) with coefficients x @ W + w0, as ScalarField.gradient_map.
     """
 
-    def __init__(self, coef_fn: Callable[[Sequence], Sequence], dim: int, name: str = ""):
+    def __init__(self, coef_fn: Callable[[Sequence], Sequence], dim: int, name: str = "",
+                 coefficient_map: Optional[tuple] = None):
         self.coef_fn = coef_fn
         self.dim = dim
         self.name = name
+        self.coefficient_map = coefficient_map
 
     def coefficients(self, pts):
         coords, scalar = split_point(pts)
@@ -180,11 +183,6 @@ class OneForm:
         coefs = self.coefficients(pts)
         vecs = np.asarray(vecs, dtype=float)
         return np.sum(coefs * vecs, axis=-1)
-
-    def coefficient_derivative(self, coords, direction):
-        """Directional derivative of each coefficient along direction; a
-        direction with a leading axis of k seeds gives all k in one pass."""
-        return [epsilon(c) for c in self.coef_fn(seed(coords, direction))]
 
     def two_form(self, pts, u, w):
         """Exterior derivative paired with two vectors: d(form)(u, w)."""
@@ -213,8 +211,8 @@ class OneForm:
         planes = np.ascontiguousarray(frame.transpose(2, 1, 0))
         coords = [pts[:, a] for a in range(self.dim)]
         deriv = np.empty(planes.shape)
-        for b, c in enumerate(self.coefficient_derivative(coords, list(planes))):
-            deriv[b] = _real(c)
+        for b, c in enumerate(self.coef_fn(seed(coords, list(planes)))):
+            deriv[b] = _real(epsilon(c))
         a_mat = deriv[0][:, None] * planes[0]
         for e, f in zip(deriv[1:], planes[1:]):
             a_mat += e[:, None] * f
@@ -222,9 +220,10 @@ class OneForm:
 
     def __mul__(self, s):
         s = float(s)
-        f = self.coef_fn
+        f, fmap = self.coef_fn, self.coefficient_map
         return OneForm(lambda coords: [s * c for c in f(coords)], self.dim,
-                       name=f"{s}*{self.name}" if self.name else "")
+                       name=f"{s}*{self.name}" if self.name else "",
+                       coefficient_map=None if fmap is None else (s * fmap[0], s * fmap[1]))
 
     __rmul__ = __mul__
 

@@ -25,9 +25,10 @@ of whole-plane additions (see _dot), so a point gives the same bits
 alone as in a batch.
 
 Contact fields solve the frame system M = [a; D^T] (see frame_system),
-or the ambient system with constraint multipliers of the dual-seeded
-solvers; _checked_pinv factorises both, raising ContactDegeneracyError
-where sigma_min <= DEGENERACY_RTOL * sigma_max.
+or the ambient system with constraint multipliers of the solvers with a
+derivative, which read the maps of linear forms and quadratic fields
+(see _ambient_data); _checked_pinv factorises both, raising
+ContactDegeneracyError where sigma_min <= DEGENERACY_RTOL * sigma_max.
 """
 
 from __future__ import annotations
@@ -160,8 +161,7 @@ class ContactManifold:
         coords = None
         for i, c in enumerate(self.constraints):
             if c.gradient_map is not None:
-                jac, shift = c.gradient_map
-                np.add(pts @ jac, shift, out=grads[:, i, :])
+                _affine(c.gradient_map, pts, out=grads[:, i, :])
                 continue
             if coords is None:
                 coords = seed(list(pts.T))
@@ -414,34 +414,59 @@ def _linear(f, *xs):
     return Dual(f(*(x.val for x in xs)), f(*(x.eps for x in xs)))
 
 
-def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
-    """The ambient contact system at p, seeded along dp, from one pass.
+def _affine(amap: tuple, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """x @ A + a0, into out if given, for a gradient_map or coefficient_map (A, a0)."""
+    return np.add(x @ amap[0], amap[1], out=out)
 
-    p is seeded along dp and the d unit directions are put in front, so
-    one evaluation of the form, the constraints and h gives the values
-    and gradients together with their dp-derivatives.  Returns (S, H, dH):
-    S (N, d+1+k, d+k) has rows [Omega, -grads^T], [alpha, 0], [grads, 0]
-    with Omega[a, b] = d_a w_b - d_b w_a; H (N,) and dH (N, d) are h's
-    value and gradient, or None without h.  Each is a Dual of arrays
-    whose eps part is the dp-derivative.
+
+def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
+    """The ambient contact system at p with its derivative along dp.
+
+    Mapped fields give theirs in closed form (see _affine), each with the
+    derivative dp @ A: alpha and d alpha = W - W^T from the form's
+    coefficient_map, the gradients of the constraints and of h from
+    their gradient_maps.  The others take one pass: p seeded along dp,
+    the d unit directions in front.  Returns (S, H, dH): S (N, d+1+k, d+k)
+    has rows [Omega, -grads^T], [alpha, 0], [grads, 0] with
+    Omega[a, b] = d_a w_b - d_b w_a; H (N,) and dH (N, d) are h's value
+    and gradient, or None without h.  Each is a Dual of arrays whose eps
+    part is the dp-derivative.
     """
-    d = m.ambient_dim
-    n_pts = p.shape[0]
-    lead = dp.shape[:-2]
-    coords = seed(seed([p[:, a] for a in range(d)], [dp[..., a] for a in range(d)]))
-    out = list(m.form.coef_fn(coords)) + [c.fn(coords) for c in m.constraints]
-    if h is not None:
-        out.append(h.fn(coords))
-    outer = [(x.val, x.eps) if isinstance(x, Dual) else (x, 0.0) for x in out]
-    vals = Dual(_stack([value(v) for v, _ in outer], (n_pts,)),
-                _stack([epsilon(v) for v, _ in outer], lead + (n_pts,)))
-    # gradients carry the direction axis in front of dp's axes; their
-    # values do not vary along dp's axes
-    grad_val = _stack([value(g) for _, g in outer], (d,) + (1,) * len(lead) + (n_pts,))
-    grad_eps = _stack([epsilon(g) for _, g in outer], (d,) + lead + (n_pts,))
-    grads = Dual(np.moveaxis(grad_val.reshape(d, n_pts, -1), 0, -2),
-                 np.moveaxis(grad_eps, 0, -2))
-    k = len(m.constraints)
+    d, k = m.ambient_dim, len(m.constraints)
+    n_pts, lead = p.shape[0], dp.shape[:-2]
+    scalars, form_map = list(m.constraints) + ([] if h is None else [h]), m.form.coefficient_map
+    # columns: the form's d coefficients, the constraints, h; mapped constraints' values stay 0
+    width = d + len(scalars)
+    vals = Dual(np.zeros((n_pts, width)), np.zeros(lead + (n_pts, width)))
+    grads = Dual(np.zeros((n_pts, d, width)), np.zeros(lead + (n_pts, d, width)))
+
+    def fill(target, cols, jet):
+        target.val[..., cols], target.eps[..., cols] = jet.val, jet.eps
+
+    seeded = [c for c, f in enumerate(scalars, d) if f.gradient_map is None]
+    if form_map is None:
+        seeded = list(range(d)) + seeded
+    else:
+        fill(vals, slice(0, d), Dual(_affine(form_map, p), dp @ form_map[0]))
+        grads.val[..., :d] = form_map[0]
+    for c, f in enumerate(scalars, d):
+        if f.gradient_map is not None:
+            fill(grads, c, Dual(_affine(f.gradient_map, p), dp @ f.gradient_map[0]))
+    if seeded:
+        coords = seed(seed([p[:, a] for a in range(d)], [dp[..., a] for a in range(d)]))
+        out = [] if form_map is not None else list(m.form.coef_fn(coords))
+        out += [scalars[c - d].fn(coords) for c in seeded[len(out):]]
+        outer = [(x.val, x.eps) if isinstance(x, Dual) else (x, 0.0) for x in out]
+        fill(vals, seeded, Dual(_stack([value(v) for v, _ in outer], (n_pts,)),
+                                _stack([epsilon(v) for v, _ in outer], lead + (n_pts,))))
+        # gradients carry the direction axis in front of dp's axes; their
+        # values do not vary along dp's axes
+        grad_val = _stack([value(g) for _, g in outer], (d,) + (1,) * len(lead) + (n_pts,))
+        grad_eps = _stack([epsilon(g) for _, g in outer], (d,) + lead + (n_pts,))
+        fill(grads, seeded, Dual(np.moveaxis(grad_val.reshape(d, n_pts, -1), 0, -2),
+                                 np.moveaxis(grad_eps, 0, -2)))
+    if h is not None and h.gradient_map is not None:
+        fill(vals, -1, Dual(h.fn([p[:, a] for a in range(d)]), np.sum(grads.val[..., -1] * dp, -1)))
 
     def assemble(v, g):
         coef, cons = g[..., :d], g[..., d:d + k]
@@ -493,21 +518,26 @@ def _contact_solve(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
     return reeb, solve(top, hval), dh_reeb
 
 
+def _field_with_derivative(m: ContactManifold, p, dp, h=None) -> tuple:
+    """The Reeb field, or h's contact field, with its derivative along dp."""
+    p, dp = np.asarray(p, dtype=float), np.asarray(dp, dtype=float)
+    q, dq = (p[None], dp[..., None, :]) if p.ndim == 1 else (p, dp)
+    if q.ndim != 2 or dq.shape[-2:] != q.shape:
+        raise ValueError(f"directions of shape {dp.shape} do not fit points of shape {p.shape}")
+    out = _contact_solve(m, q, dq, h)[0 if h is None else 1]
+    return (out.val[0], out.eps[..., 0, :]) if p.ndim == 1 else (out.val, out.eps)
+
+
 def reeb_with_derivative(m: ContactManifold, p, dp):
-    """Reeb field and its directional derivative along dp."""
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 1
-    reeb, _, _ = _contact_solve(m, np.atleast_2d(p), np.atleast_2d(np.asarray(dp, dtype=float)))
-    return (reeb.val[0], reeb.eps[0]) if scalar else (reeb.val, reeb.eps)
+    """Reeb field and its derivative along dp: p (d,) or (N, d), dp shaped
+    like p or with a leading axis of k directions, as the result's eps."""
+    return _field_with_derivative(m, p, dp)
 
 
 def hamiltonian_field_with_derivative(m: ContactManifold, h: ScalarField, p, dp):
-    """Contact vector field of a Hamiltonian and its derivative along dp.
+    """Contact field of a Hamiltonian and its derivative along dp, as reeb_with_derivative.
 
     Solves i_X alpha = H, i_X d alpha = -dH + (i_R dH) alpha on TM in
     ambient form with constraint multipliers.
     """
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 1
-    _, field, _ = _contact_solve(m, np.atleast_2d(p), np.atleast_2d(np.asarray(dp, dtype=float)), h)
-    return (field.val[0], field.eps[0]) if scalar else (field.val, field.eps)
+    return _field_with_derivative(m, p, dp, h)

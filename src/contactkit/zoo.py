@@ -78,16 +78,9 @@ def standard_sphere(n: int = 1, form_scale: float = 1.0) -> ContactManifold:
     def radius(coords):
         return sum(c * c for c in coords) - 1.0
 
-    def coefs(coords):
-        out = []
-        for j in range(n + 1):
-            x, y = coords[2 * j], coords[2 * j + 1]
-            out.extend([-0.5 * y, 0.5 * x])
-        return out
-
     m = ContactManifold(
         name="sphere", n=n, ambient_dim=d,
-        form=OneForm(coefs, d, name="standard"),
+        form=_standard_form(n),
         constraints=(ScalarField(radius, d, name="|z|^2-1",
                                  gradient_map=(2.0 * np.eye(d), np.zeros(d))),),
         frame_sign=1,
@@ -111,6 +104,19 @@ def _rotation_transpose(weights: tuple, rate: float) -> np.ndarray:
         jt[2 * j, 2 * j + 1] = rate * w
     jt.flags.writeable = False
     return jt
+
+
+def _standard_form(n: int) -> OneForm:
+    """(1/2) sum (x dy - y dx) on R^(2n+2); its coefficients are x @ J^T, J: z -> iz/2."""
+
+    def coefs(coords):
+        out = []
+        for j in range(n + 1):
+            out.extend([-0.5 * coords[2 * j + 1], 0.5 * coords[2 * j]])
+        return out
+
+    jt = _rotation_transpose((1.0,) * (n + 1), 0.5)
+    return OneForm(coefs, 2 * n + 2, name="standard", coefficient_map=(jt, np.zeros(2 * n + 2)))
 
 
 def sphere_reeb_closed_form(m: ContactManifold, pts) -> np.ndarray:
@@ -230,17 +236,10 @@ def weighted_sphere(weights: Sequence[float], form_scale: float = 1.0) -> Contac
             w[j] * (coords[2 * j] * coords[2 * j] + coords[2 * j + 1] * coords[2 * j + 1])
             for j in range(n + 1)) - 1.0
 
-    def coefs(coords):
-        out = []
-        for j in range(n + 1):
-            x, y = coords[2 * j], coords[2 * j + 1]
-            out.extend([-0.5 * y, 0.5 * x])
-        return out
-
     period = 1.0 / w[0] if len(set(w)) == 1 else None
     m = ContactManifold(
         name="weighted-sphere", n=n, ambient_dim=d,
-        form=OneForm(coefs, d, name="standard"),
+        form=_standard_form(n),
         constraints=(ScalarField(level, d, name="H_w-1", gradient_map=(
             np.diag(np.repeat(2.0 * math.pi * np.asarray(w), 2)), np.zeros(d))),),
         frame_sign=1,

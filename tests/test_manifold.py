@@ -1,15 +1,20 @@
 """Contact manifold structure: frames, defects, Reeb solver, projections."""
 
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from contactkit import zoo
+from contactkit.chernweil import (diagonal_torus_action, moment_field, torus_shift_action,
+                                  unitary_action)
+from contactkit.dual import Dual, epsilon, seed
 from contactkit.fields import OneForm, ScalarField
 from contactkit.manifold import (ContactDegeneracyError, ContactManifold, DegenerateFrameError,
-                                 ProjectionError, _bordered_wedge, _matchings,
+                                 ProjectionError, _ambient_data, _bordered_wedge, _matchings,
                                  hamiltonian_field_with_derivative,
                                  reeb_with_derivative)
 from contactkit.hamiltonian import hamiltonian, hamiltonian_to_field
@@ -257,9 +262,7 @@ def test_cotangent_bump_key_records_the_strength():
 
 
 def test_each_derivative_is_one_pass(golden):
-    from dataclasses import replace
-
-    from contactkit.fields import OneForm
+    # the golden ellipsoid's form is rebuilt without its map: one seeded pass
     counts = {"form": 0, "constraint": 0}
     coef_fn, level = golden.form.coef_fn, golden.constraints[0]
 
@@ -289,6 +292,68 @@ def test_each_derivative_is_one_pass(golden):
     form, constraint = passes(lambda: m.reeb_residuals(pts))
     assert form <= 4 and constraint <= 2
     assert np.array_equal(m.reeb_field(pts), golden.reeb_field(pts))
+
+    # on S^3 the form and a unitary moment Hamiltonian carry maps, so the
+    # ambient solve evaluates h once on plain points and never seeds the form
+    s3 = zoo.standard_sphere(1)
+    action = unitary_action(s3)
+    h = moment_field(action, action.random_element(np.random.default_rng(9))).field
+    calls = {"form": [], "h": []}
+
+    def watched(fn, key):
+        def wrapped(coords):
+            calls[key].append(any(isinstance(c, Dual) for c in coords))
+            return fn(coords)
+        return wrapped
+
+    watched_s3 = replace(s3, form=OneForm(watched(s3.form.coef_fn, "form"), 4,
+                                          coefficient_map=s3.form.coefficient_map))
+    mapped = ScalarField(watched(h.fn, "h"), 4, gradient_map=h.gradient_map)
+    unmapped = ScalarField(watched(h.fn, "h"), 4)
+    pts = sample(s3, 6)
+    vecs = s3.random_tangents(pts, np.random.default_rng(8))
+
+    def dual_calls(h_field):
+        """Which form and h evaluations had Dual input, and the solve's result."""
+        calls.update(form=[], h=[])
+        if h_field is None:
+            return calls["form"], calls["h"], reeb_with_derivative(watched_s3, pts, vecs)
+        out = hamiltonian_field_with_derivative(watched_s3, h_field, pts, vecs)
+        return calls["form"], calls["h"], out
+
+    form, h_calls, field = dual_calls(mapped)
+    assert form == [] and h_calls == [False]
+    form, h_calls, _ = dual_calls(None)
+    assert form == [] and h_calls == []
+    # an unmapped h takes exactly one seeded pass, the form still none
+    form, h_calls, reference = dual_calls(unmapped)
+    assert form == [] and h_calls == [True]
+    for ours, theirs in zip(field, reference):
+        assert np.max(np.abs(ours - theirs)) <= 1e-14 * np.max(np.abs(theirs))
+
+
+def test_several_directions_at_one_point(sphere, golden):
+    rng = np.random.default_rng(17)
+    for m in (sphere, golden):
+        h = hamiltonian(m, lambda c: c[0] * c[1] - 0.5 * c[2] * c[2] + c[3], name="h").field
+        p = sample(m, 1, seed=17)[0]
+        dps = m.random_tangents(np.tile(p, (3, 1)), rng)
+        for call in (lambda p, dp: reeb_with_derivative(m, p, dp),
+                     lambda p, dp: hamiltonian_field_with_derivative(m, h, p, dp)):
+            val, eps = call(p, dps)
+            assert val.shape == (m.ambient_dim,) and eps.shape == (3, m.ambient_dim)
+            batch_val, batch_eps = call(p[None], dps[:, None])
+            assert np.array_equal(val, batch_val[0]) and np.array_equal(eps, batch_eps[:, 0])
+            for j in range(3):
+                one_val, one_eps = call(p, dps[j])
+                assert one_val.shape == one_eps.shape == (m.ambient_dim,)
+                assert np.array_equal(one_val, val)
+                assert np.max(np.abs(one_eps - eps[j])) <= 1e-14 * np.max(np.abs(eps[j]))
+            for bad_p, bad_dp in ((p, dps[:, :3]), (np.tile(p, (3, 1)), dps[0]),
+                                  (np.tile(p, (3, 1)), dps[:2])):
+                with pytest.raises(ValueError, match=rf"{re.escape(str(bad_dp.shape))}"
+                                                     rf".*{re.escape(str(bad_p.shape))}"):
+                    call(bad_p, bad_dp)
 
 
 # the bordered Pfaffian and the reflection frame
@@ -462,6 +527,80 @@ def test_gradient_maps_match_the_seeded_gradients():
     # q.p on two cotangent bundles, |p|^2 - 1 on the round one; the bump
     # bundle's |p|_g - 1 is seeded
     assert mapped == 10
+    forms = 0
+    scaled = (zoo.standard_sphere(1).scaled(2.5), zoo.weighted_sphere([1.0, 2.0, 3.0]).scaled(0.3))
+    for m in _constrained_zoo() + scaled + (zoo.torus3(1),):
+        if m.form.coefficient_map is None:
+            continue
+        forms += 1
+        pts = sample(m, 200, seed=11)
+        jac, shift = m.form.coefficient_map
+        coefs = m.form.coefficients(pts)
+        err = np.linalg.norm(pts @ jac + shift - coefs, axis=1)
+        assert np.all(err <= 1e-15 * np.linalg.norm(coefs, axis=1)), m.key()
+        # jac[a, b] is d_a w_b, the seeded derivative of coefficient b along e_a
+        seeded = np.stack([np.broadcast_to(epsilon(c), (m.ambient_dim, len(pts)))
+                           for c in m.form.coef_fn(seed(list(pts.T)))], axis=-1)
+        assert np.max(np.abs(seeded - jac[:, None, :])) <= 1e-15 * np.max(np.abs(jac)), m.key()
+    # the standard form on three spheres and two ellipsoids, and two scaled
+    # copies; the cotangent bundles' p.dq and the torus form are seeded
+    assert forms == 7
+
+
+def _moment_cases():
+    """Moment Hamiltonians of the linear actions: unitary on round spheres,
+    also at form scale 2.5, and the diagonal torus on S^3 and two ellipsoids."""
+    rng = np.random.default_rng(19)
+    spheres = (zoo.standard_sphere(1), zoo.standard_sphere(2), zoo.standard_sphere(3),
+               zoo.standard_sphere(1).scaled(2.5))
+    cases = []
+    for m in spheres:
+        action = unitary_action(m)
+        cases.append((m, moment_field(action, action.random_element(rng)).field))
+    for m in (spheres[0], zoo.weighted_sphere([1.0, (1.0 + np.sqrt(5.0)) / 2.0]),
+              zoo.weighted_sphere([1.0, 2.0, 3.0])):
+        action = diagonal_torus_action(m)
+        cases.append((m, moment_field(action, action.random_element(rng)).field))
+    return cases
+
+
+def test_moment_gradient_maps_match_the_seeded_gradients():
+    for m, h in _moment_cases():
+        assert h.gradient_map is not None, m.key()
+        pts = sample(m, 200, seed=11)
+        jac, shift = h.gradient_map
+        assert np.array_equal(jac, jac.T), m.key()
+        seeded = h.gradient(pts)
+        err = np.linalg.norm(pts @ jac + shift - seeded, axis=1)
+        assert np.all(err <= 1e-15 * np.linalg.norm(seeded, axis=1)), m.key()
+    # the torus shift action is not linear and the torus form has no map
+    assert moment_field(torus_shift_action(zoo.torus3(1)), [1.0, 2.0]).field.gradient_map is None
+
+
+def _unmapped(m):
+    """m with its form's coefficient map and its gradient maps stripped."""
+    return replace(m, form=OneForm(m.form.coef_fn, m.ambient_dim, m.form.name),
+                   constraints=tuple(ScalarField(c.fn, c.dim, c.name) for c in m.constraints))
+
+
+def test_ambient_data_from_maps_matches_the_seeded_pass():
+    rng = np.random.default_rng(23)
+    bare = [(m, None) for m in _constrained_zoo()
+            + (zoo.standard_sphere(1).scaled(2.5), zoo.torus3(1))]
+    for m, h in bare + _moment_cases():
+        pts = sample(m, 12, seed=23)
+        vecs = m.random_tangents(pts, rng)
+        stripped = None if h is None else ScalarField(h.fn, h.dim, h.name)
+        for dp in (vecs, np.stack([vecs, m.random_tangents(pts, rng), pts])):
+            ours = _ambient_data(m, pts, dp, h)
+            reference = _ambient_data(_unmapped(m), pts, dp, stripped)
+            for part, theirs in zip(ours, reference):
+                if theirs is None:
+                    assert part is None
+                    continue
+                for x, y in ((part.val, theirs.val), (part.eps, theirs.eps)):
+                    assert x.shape == y.shape, m.key()
+                    assert np.max(np.abs(x - y)) <= 1e-15 * np.max(np.abs(y)), m.key()
 
 
 def test_constraint_pass_values_are_the_seeded_values():
