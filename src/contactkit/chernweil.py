@@ -68,8 +68,13 @@ class GroupAction:
         return arr
 
 
-# z -> iz on (x, y): z -> Az is kron(Re A, I) + kron(Im A, _TURN) on (x_0, y_0, x_1, ...)
-_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+def _real_matrix(a: np.ndarray) -> np.ndarray:
+    """z -> Az in real coordinates (x_0, y_0, x_1, ...): each entry a_jk is
+    the 2x2 block [[Re, -Im], [Im, Re]], filled as four strided quarters."""
+    out = np.empty((2 * len(a),) * 2)
+    out[0::2, 0::2] = out[1::2, 1::2] = a.real
+    out[0::2, 1::2], out[1::2, 0::2] = -a.imag, a.imag
+    return out
 
 
 def torus_shift_action(m: ContactManifold) -> GroupAction:
@@ -108,7 +113,7 @@ def diagonal_torus_action(m: ContactManifold) -> GroupAction:
         return VectorField(comp, m.ambient_dim, name="diag-phase")
 
     return GroupAction("torus", m, pairs, fundamental, name="diagonal-torus",
-                       matrix=lambda a: np.kron(np.diag(a), _TURN))
+                       matrix=lambda a: _real_matrix(1j * np.diag(a)))
 
 
 def unitary_action(m: ContactManifold) -> GroupAction:
@@ -139,7 +144,7 @@ def unitary_action(m: ContactManifold) -> GroupAction:
         return VectorField(comp, m.ambient_dim, name="unitary")
 
     return GroupAction("unitary", m, pairs, fundamental, name="unitary",
-                       matrix=lambda a: np.kron(a.real, np.eye(2)) + np.kron(a.imag, _TURN))
+                       matrix=_real_matrix)
 
 
 def moment(action: GroupAction, pts, a) -> np.ndarray:

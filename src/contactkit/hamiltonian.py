@@ -2,7 +2,9 @@
 
 A contact vector field X determines the Hamiltonian H = alpha(X); the
 inverse direction solves i_X alpha = H, i_X dalpha = -dH + (i_R dH) alpha
-pointwise in the tangent frame.  The bracket
+on TM pointwise, as one square ambient system with multipliers for alpha
+and the constraints (see manifold._contact_solve), which gives dH(R)
+with the field.  The bracket
 
     [H1, H2] = dH1(R) H2 - dH2(X1)
 
@@ -19,11 +21,7 @@ import numpy as np
 
 from .dual import Dual, epsilon, seed, value
 from .fields import ScalarField, _stack
-from .manifold import (
-    ContactManifold,
-    GeometryError,
-    _contact_solve,
-)
+from .manifold import ContactManifold, _columns, _contact_solve
 
 REEB_INVARIANCE_TOL = 1e-8
 FIELD_SOLVE_TOL = 1e-9
@@ -82,28 +80,14 @@ def field_to_hamiltonian(m: ContactManifold, x, name: str = "") -> Hamiltonian:
 def hamiltonian_to_field(h: Hamiltonian, pts, tol: float = FIELD_SOLVE_TOL):
     """The contact vector field of h at pts, shape matching the input.
 
-    Least-squares solve in the orthonormal tangent frame of the stacked
-    equations alpha(X) = H and dalpha(X, e_j) = -dH(e_j) + dH(R) alpha(e_j);
-    the residual must stay below tol.
+    One square ambient solve of alpha(X) = H and
+    dalpha(X, .) = -dH + dH(R) alpha on TM (see manifold._contact_solve);
+    GeometryError where the residual of the solved system exceeds tol.
     """
     pts_arr = np.asarray(pts, dtype=float)
-    out, _ = _field_and_dh_reeb(h, np.atleast_2d(pts_arr), tol)
+    q = np.atleast_2d(pts_arr)
+    out = _contact_solve(h.manifold, q, np.empty((0,) + q.shape), h.field, tol)[0].val
     return out[0] if pts_arr.ndim == 1 else out
-
-
-def _field_and_dh_reeb(h: Hamiltonian, q: np.ndarray, tol: float) -> tuple:
-    """The contact field of h at points q (N, d) and dH(R) there, from the frame
-    system M and its pseudo-inverse, whose first column is the Reeb vector."""
-    frame, system, pinv = h.manifold.frame_system(q)
-    dh_frame = np.ascontiguousarray(h.field.directional(q, np.swapaxes(frame, 0, 1)).T)
-    dh_reeb = np.einsum("nj,nj->n", dh_frame, pinv[..., 0])
-    rhs = np.concatenate([h.field(q)[:, None], -dh_frame + dh_reeb[:, None] * system[:, 0]], 1)
-    sol = pinv @ rhs[..., None]
-    residual = np.max(np.abs(system @ sol - rhs[..., None]))
-    if residual > tol:
-        raise GeometryError(
-            f"contact field solve residual {residual:.3e} exceeds {tol:.0e}")
-    return np.einsum("nj,nja->na", sol[..., 0], frame), dh_reeb
 
 
 def is_reeb_invariant(h: Hamiltonian, samples: int = 1000, seed: int = 0,
@@ -119,12 +103,7 @@ def is_reeb_invariant(h: Hamiltonian, samples: int = 1000, seed: int = 0,
 
 def bracket(h1: Hamiltonian, h2: Hamiltonian, pts) -> np.ndarray:
     """The contact bracket dH1(R) H2 - dH2(X1) evaluated at pts."""
-    pts_arr = np.asarray(pts, dtype=float)
-    q = np.atleast_2d(pts_arr)
-    x1, dh1_reeb = _field_and_dh_reeb(h1, q, FIELD_SOLVE_TOL)
-    vals = (dh1_reeb * np.asarray(h2.field(q), dtype=float)
-            - np.asarray(h2.field.directional(q, x1), dtype=float))
-    return vals[0] if pts_arr.ndim == 1 else vals
+    return bracket_hamiltonian(h1, h2).field(pts)
 
 
 class NestedDualError(TypeError):
@@ -145,28 +124,31 @@ def _coords_to_seeded_point(coords):
 def bracket_hamiltonian(h1: Hamiltonian, h2: Hamiltonian) -> Hamiltonian:
     """The bracket as a Hamiltonian, differentiable through dual seeding.
 
-    Plain float coordinates use the batched frame solver; coordinates
-    carrying one dual layer, with one seed or k at once, route through one
-    ambient seeded solve, which also returns dH1(R), so nested brackets
-    (Jacobi identity checks) stay differentiable; two raise NestedDualError.
+    Plain float coordinates and coordinates carrying one dual layer, with
+    one seed or k at once, route through one ambient solve of h1's contact
+    field, which also returns dH1(R).  A value-only solve seeds h1 once, so
+    nested brackets (Jacobi identity checks) stay differentiable; two dual
+    layers raise NestedDualError.  GeometryError where the residual of the
+    solve exceeds FIELD_SOLVE_TOL.
     """
     m = h1.manifold
     d = m.ambient_dim
 
     def fn(coords):
-        if not any(isinstance(c, Dual) for c in coords):
-            pts, scalar_flag = split_point_coords(coords, d)
-            out = bracket(h1, h2, pts)
-            return out if not scalar_flag else float(out)
-        p, dp = _coords_to_seeded_point(coords)
+        seeded = any(isinstance(c, Dual) for c in coords)
+        if seeded:
+            p, dp = _coords_to_seeded_point(coords)
+        else:
+            p = split_point_coords(coords, d)[0]
+            dp = np.empty((0,) + p.shape)
         single = p.ndim == 1
-        if single:
-            p, dp = p[None], dp[..., None, :]
-        _, x1, dh1_reeb = _contact_solve(m, p, dp, h1.field)
-        base = seed([p[:, a] for a in range(d)], [dp[..., a] for a in range(d)])
-        dh2_x1 = epsilon(h2.field.fn(seed(base, [Dual(x1.val[:, a], x1.eps[..., a])
-                                                 for a in range(d)])))
-        out = dh1_reeb * h2.field.fn(base) - dh2_x1
+        q, dq = (p[None], dp[..., None, :]) if single else (p, dp)
+        x1, dh1_reeb = _contact_solve(m, q, dq, h1.field, FIELD_SOLVE_TOL)
+        point = _columns(Dual(q, dq))
+        dh2_x1 = epsilon(h2.field.fn(seed(point, _columns(x1))))
+        out = dh1_reeb * h2.field.fn(point) - dh2_x1
+        if not seeded:
+            return float(out.val[0]) if single else out.val
         return Dual(out.val[0], out.eps[..., 0]) if single else out
 
     invariant = True if (h1.reeb_invariant and h2.reeb_invariant) else None

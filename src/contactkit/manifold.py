@@ -24,11 +24,13 @@ planes without a copy.  Sums over a component axis run in a fixed order
 of whole-plane additions (see _dot), so a point gives the same bits
 alone as in a batch.
 
-Contact fields solve the frame system M = [a; D^T] (see frame_system),
-or the ambient system with constraint multipliers of the solvers with a
-derivative, which read the maps of linear forms and quadratic fields
-(see _ambient_data); _checked_pinv factorises both, raising
-ContactDegeneracyError where sigma_min <= DEGENERACY_RTOL * sigma_max.
+Contact fields.  Every Reeb and Hamiltonian field, with or without a
+derivative, solves one square ambient system K with multipliers for alpha
+and the constraints (see _contact_solve), which reads the maps of linear
+forms and quadratic fields (see _ambient_data).  K is invertible exactly
+where the form is contact; _checked_inv inverts it once per call.  The
+frame serves the contact defect and reeb_residuals, which checks the
+ambient solve independently.
 """
 
 from __future__ import annotations
@@ -53,25 +55,31 @@ class DegenerateFrameError(GeometryError):
 
 
 class ContactDegeneracyError(GeometryError):
-    """A contact system is rank deficient: the form is not contact there."""
+    """A contact system is singular: the form is not contact there."""
 
 
 class ProjectionError(GeometryError):
     """Newton projection onto the constraint set did not converge."""
 
 
-# a contact system whose smallest singular value is at most this times
-# its largest is rank deficient: the form is not contact there
+# a contact system K of size m with DEGENERACY_RTOL |K|_F |K^-1|_F >= 1 is
+# singular: the form is not contact there.  The Frobenius product lies
+# between the condition number kappa_2 and m kappa_2
 DEGENERACY_RTOL = 1e-8
 
 
-def _checked_pinv(system: np.ndarray, what: str) -> np.ndarray:
-    """np.linalg.pinv of contact systems (N, r, c), r > c, from one SVD, or
-    ContactDegeneracyError naming what where sigma_min <= DEGENERACY_RTOL * sigma_max."""
-    u, sv, vh = np.linalg.svd(system, full_matrices=False)
-    if np.any(sv[:, -1] <= DEGENERACY_RTOL * sv[:, 0]):
-        raise ContactDegeneracyError(f"{what} is rank deficient; the form is not contact there")
-    return vh.swapaxes(-1, -2) @ ((1.0 / sv)[..., None] * u.swapaxes(-1, -2))
+def _checked_inv(system: np.ndarray) -> np.ndarray:
+    """np.linalg.inv of contact systems (N, m, m), or ContactDegeneracyError
+    where one is singular or DEGENERACY_RTOL * |K|_F |K^-1|_F >= 1."""
+    message = "the contact system is singular; the form is not contact there"
+    try:
+        inv = np.linalg.inv(system)
+    except np.linalg.LinAlgError as exc:
+        raise ContactDegeneracyError(message) from exc
+    fro = np.linalg.norm(system, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+    if not np.all(DEGENERACY_RTOL * fro < 1.0):
+        raise ContactDegeneracyError(message)
+    return inv
 
 
 def _dot(u, v):
@@ -293,55 +301,29 @@ class ContactManifold:
         scalar = pts.ndim == 1
         q = np.atleast_2d(pts)
         try:
-            out = _bordered_wedge(*self._frame_data(q)[1:], self.n)
+            frame = self.tangent_frame(q)
+            # alpha in the frame and the d alpha matrix as planes (2n+1, N), (2n+1, 2n+1, N)
+            a = _dot(self.form.coefficients(q).T[:, None], frame.transpose(2, 1, 0))
+            out = _bordered_wedge(a, self.form.dmatrix(q, frame).transpose(1, 2, 0), self.n)
         except GeometryError:
             raise
         except (FloatingPointError, ValueError, ZeroDivisionError, OverflowError):
             out = np.full(q.shape[0], np.nan)
         return float(out[0]) if scalar else out
 
-    def _frame_data(self, q: np.ndarray) -> tuple:
-        """The oriented frame at points q (N, d), alpha in it and the d alpha
-        matrix: the frame (N, 2n+1, d) and the planes a (2n+1, N) and
-        D (2n+1, 2n+1, N)."""
-        frame = self.tangent_frame(q)
-        a = _dot(self.form.coefficients(q).T[:, None], frame.transpose(2, 1, 0))
-        return frame, a, self.form.dmatrix(q, frame).transpose(1, 2, 0)
-
-    def frame_system(self, pts) -> tuple:
-        """The contact system in the oriented orthonormal tangent frame.
-
-        Returns (frame, M, M^+), always batched: the frame (N, 2n+1, d),
-        the stacked system M = [a; D^T] (N, 2n+2, 2n+1) of alpha's values
-        a and the d alpha matrix D in the frame, and its pseudo-inverse
-        (N, 2n+1, 2n+2) from _checked_pinv.  X = x . frame has
-        alpha(X) = c and d alpha(X, e_j) = b_j when M x = (c, b); the Reeb
-        field is the first column r = M^+ e_0 expanded in the frame.
-        Raises ContactDegeneracyError where M loses column rank.
-        """
-        q = np.atleast_2d(np.asarray(pts, dtype=float))
-        frame, a, dmat = self._frame_data(q)
-        system = np.empty((q.shape[0], self.dim + 1, self.dim))
-        system[:, 0] = a.T
-        system[:, 1:] = dmat.transpose(2, 1, 0)
-        return frame, system, _checked_pinv(system, "restricted contact system")
-
     def reeb_field(self, pts) -> np.ndarray:
-        """Reeb vector field: alpha(R) = 1 and d alpha(R, .) = 0 on TM.
-
-        Solved pointwise in an orthonormal tangent frame: R is the first
-        column of the frame system's pseudo-inverse, expanded in the frame.
-        """
-        frame, _, pinv = self.frame_system(pts)
-        reeb = np.einsum("ni,nia->na", pinv[..., 0], frame)
+        """Reeb vector field: alpha(R) = 1 and d alpha(R, .) = 0 on TM,
+        from the ambient contact system (see _contact_solve)."""
+        q = np.atleast_2d(np.asarray(pts, dtype=float))
+        reeb = _contact_solve(self, q, np.empty((0,) + q.shape))[0].val
         return reeb[0] if np.ndim(pts) == 1 else reeb
 
     def reeb_residuals(self, pts) -> dict:
         """Defining-equation residuals of the computed Reeb field: (N,)
-        arrays, or floats at a point (d,)."""
+        arrays, or floats at a point (d,).  The pairing with d alpha is
+        taken over the tangent frame, independently of the ambient solve."""
         q = np.atleast_2d(np.asarray(pts, dtype=float))
-        frame, _, pinv = self.frame_system(q)
-        reeb = np.einsum("ni,nia->na", pinv[..., 0], frame)
+        frame, reeb = self.tangent_frame(q), self.reeb_field(q)
         alpha_res = np.abs(self.form(q, reeb) - 1.0)
         # d alpha over the frame (R, e_1, ..., e_m): its first row is d alpha(R, e_i)
         pairing = self.form.dmatrix(q, np.concatenate([reeb[:, None], frame], axis=1))[:, 0, 1:]
@@ -402,16 +384,25 @@ def _bordered_wedge(a: np.ndarray, dmat: np.ndarray, n: int) -> np.ndarray:
     return math.factorial(n) * total
 
 
-# ambient-system solvers, differentiable through dual seeding; used by
-# tangent transport along flows where the SVD route cannot carry duals.
-# Batched over points: p (N, d) with dp (N, d), or (k, N, d) for k seeds
-# at once, gives Duals with values (N, ...) and eps parts (N, ...) or
-# (k, N, ...).
+# the ambient contact solve, differentiable through dual seeding.  Batched
+# over points: p (N, d) with dp (N, d), or (k, N, d) for k seeds at once,
+# gives Duals with values (N, ...) and eps parts (N, ...) or (k, N, ...);
+# directions (0, N, d) give the values alone.
 
 
 def _linear(f, *xs):
     """A linear map applied alike to the value and eps parts of Duals."""
     return Dual(f(*(x.val for x in xs)), f(*(x.eps for x in xs)))
+
+
+def _columns(x: Dual) -> list:
+    """The coordinate columns of points x.val (N, d), seeded along x.eps if it
+    carries a direction: one dual layer for a derivative and none for values
+    alone, so that a value-only solve seeds its fields once."""
+    cols = [x.val[:, a] for a in range(x.val.shape[-1])]
+    if not x.eps.size:
+        return cols
+    return seed(cols, [x.eps[..., a] for a in range(x.val.shape[-1])])
 
 
 def _affine(amap: tuple, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -425,20 +416,22 @@ def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
     Mapped fields give theirs in closed form (see _affine), each with the
     derivative dp @ A: alpha and d alpha = W - W^T from the form's
     coefficient_map, the gradients of the constraints and of h from
-    their gradient_maps.  The others take one pass: p seeded along dp,
-    the d unit directions in front.  Returns (S, H, dH): S (N, d+1+k, d+k)
-    has rows [Omega, -grads^T], [alpha, 0], [grads, 0] with
-    Omega[a, b] = d_a w_b - d_b w_a; H (N,) and dH (N, d) are h's value
-    and gradient, or None without h.  Each is a Dual of arrays whose eps
-    part is the dp-derivative.
+    their gradient_maps.  The others take one pass: p seeded along dp
+    (see _columns), the d unit directions in front.  Returns (K, r):
+    K (N, d+1+k, d+1+k) has rows [Omega, -alpha^T, -grads^T], [alpha, 0, 0],
+    [grads, 0, 0] with Omega[a, b] = d_a w_b - d_b w_a, and r (N, d+1+k)
+    is (dH, H, 0), with H = 1 without h: the Reeb field is the contact
+    field of 1.  Each is a Dual of arrays whose eps part is the dp-derivative.
     """
     d, k = m.ambient_dim, len(m.constraints)
     n_pts, lead = p.shape[0], dp.shape[:-2]
     scalars, form_map = list(m.constraints) + ([] if h is None else [h]), m.form.coefficient_map
-    # columns: the form's d coefficients, the constraints, h; mapped constraints' values stay 0
-    width = d + len(scalars)
+    # columns: the form's d coefficients, the constraints, h or 1; mapped constraints' values stay 0
+    width = d + k + 1
     vals = Dual(np.zeros((n_pts, width)), np.zeros(lead + (n_pts, width)))
     grads = Dual(np.zeros((n_pts, d, width)), np.zeros(lead + (n_pts, d, width)))
+    if h is None:
+        vals.val[:, -1] = 1.0
 
     def fill(target, cols, jet):
         target.val[..., cols], target.eps[..., cols] = jet.val, jet.eps
@@ -453,15 +446,16 @@ def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
         if f.gradient_map is not None:
             fill(grads, c, Dual(_affine(f.gradient_map, p), dp @ f.gradient_map[0]))
     if seeded:
-        coords = seed(seed([p[:, a] for a in range(d)], [dp[..., a] for a in range(d)]))
+        coords = seed(_columns(Dual(p, dp)))
         out = [] if form_map is not None else list(m.form.coef_fn(coords))
         out += [scalars[c - d].fn(coords) for c in seeded[len(out):]]
         outer = [(x.val, x.eps) if isinstance(x, Dual) else (x, 0.0) for x in out]
         fill(vals, seeded, Dual(_stack([value(v) for v, _ in outer], (n_pts,)),
                                 _stack([epsilon(v) for v, _ in outer], lead + (n_pts,))))
         # gradients carry the direction axis in front of dp's axes; their
-        # values do not vary along dp's axes
-        grad_val = _stack([value(g) for _, g in outer], (d,) + (1,) * len(lead) + (n_pts,))
+        # values do not vary along dp's axes, which a value-only pass lacks
+        inner = (1,) * len(lead) if dp.size else ()
+        grad_val = _stack([value(g) for _, g in outer], (d,) + inner + (n_pts,))
         grad_eps = _stack([epsilon(g) for _, g in outer], (d,) + lead + (n_pts,))
         fill(grads, seeded, Dual(np.moveaxis(grad_val.reshape(d, n_pts, -1), 0, -2),
                                  np.moveaxis(grad_eps, 0, -2)))
@@ -470,52 +464,47 @@ def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
 
     def assemble(v, g):
         coef, cons = g[..., :d], g[..., d:d + k]
-        s = np.zeros(v.shape[:-1] + (d + 1 + k, d + k))
+        s = np.zeros(v.shape[:-1] + (d + 1 + k,) * 2)
         s[..., :d, :d] = coef - np.swapaxes(coef, -1, -2)
-        s[..., :d, d:] = -cons
+        s[..., :d, d] = -v[..., :d]
+        s[..., :d, d + 1:] = -cons
         s[..., d, :d] = v[..., :d]
         s[..., d + 1:, :d] = np.swapaxes(cons, -1, -2)
         return s
 
-    system = _linear(assemble, vals, grads)
-    if h is None:
-        return system, None, None
-    return system, _linear(lambda v: v[..., -1], vals), _linear(lambda g: g[..., -1], grads)
+    def rhs(v, g):
+        r = np.zeros(v.shape[:-1] + (d + 1 + k,))
+        r[..., :d], r[..., d] = g[..., -1], v[..., -1]
+        return r
+
+    return _linear(assemble, vals, grads), _linear(rhs, vals, grads)
 
 
-def _contact_solve(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
-    """Reeb field and, given h, its contact field at p, each with its dp-derivative.
+def _contact_solve(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None,
+                   tol: float = math.inf):
+    """Reeb field, or h's contact field, at p with its dp-derivative.
 
-    One seeded pass builds the ambient system S (X, mu) = rhs with rows
-    omega X - grads^T mu = top, alpha . X = rhs_alpha, grads . X = 0.
-    S is factorised once; each field takes its own right-hand side,
-    value x0 = S^+ r and derivative x1 = S^+ (r_eps - S_eps x0), S^+ from
-    _checked_pinv as for the frame system.  Returns (R, X_H, dH(R)) as
-    Duals of arrays, fields (N, d), the last two None without h.  Raises
-    ContactDegeneracyError where S loses column rank.
+    The unknowns are the field X, a multiplier nu for alpha and one per
+    constraint, mu.  The square system K (X, nu, mu) = r of _ambient_data
+    has rows Omega X - nu alpha^T - grads^T mu = dH, alpha . X = H and
+    grads . X = 0: since d alpha(X, e_a) = -(Omega X)_a, X is h's contact
+    field, i_X alpha = H and i_X d alpha = -dH + (i_R dH) alpha on TM, with
+    nu = -dH(R).  K is antisymmetric, of even size d+1+k, and invertible
+    exactly where the form is contact.  It is inverted once (see
+    _checked_inv): value x0 = K^-1 r and derivative x1 = K^-1 (r_eps - K_eps x0).
+    Returns (X, dH(R)) as Duals of arrays (N, d) and (N,), dH(R) = 0
+    without h.  Raises ContactDegeneracyError where K is singular, and
+    GeometryError where an entry of K x0 - r exceeds tol.
     """
-    n_pts, d = p.shape
-    k = len(m.constraints)
-    system, hval, dh = _ambient_data(m, p, dp, h)
-    pinv = _checked_pinv(system.val, "ambient contact system")
-
-    def solve(top, rhs_alpha):
-        rhs = _linear(lambda t, a: np.concatenate([t, a[..., None], np.zeros(a.shape + (k,))], -1),
-                      top, rhs_alpha)
-        x0 = pinv @ rhs.val[..., None]
-        x1 = pinv @ (rhs.eps[..., None] - system.eps @ x0)
-        return Dual(x0[:, :d, 0], x1[..., :d, 0])
-
-    zeros = np.zeros((n_pts, d))
-    reeb = solve(Dual(zeros, zeros), Dual(np.ones(n_pts), np.zeros(n_pts)))
-    if h is None:
-        return reeb, None, None
-    dh_reeb = _linear(lambda x: x.sum(-1), dh * reeb)
-    # dalpha(X, e_a) = -(Omega X)_a, so i_X dalpha = -dH + (i_R dH) alpha
-    # reads (Omega X)_a = dH_a - (i_R dH) w_a row by row
-    alpha = _linear(lambda s: s[..., d, :d], system)
-    top = dh - _linear(lambda x: x[..., None], dh_reeb) * alpha
-    return reeb, solve(top, hval), dh_reeb
+    d = p.shape[1]
+    system, rhs = _ambient_data(m, p, dp, h)
+    inv = _checked_inv(system.val)
+    x0 = inv @ rhs.val[..., None]
+    x1 = inv @ (rhs.eps[..., None] - system.eps @ x0)
+    residual = np.max(np.abs(system.val @ x0 - rhs.val[..., None]))
+    if residual > tol:
+        raise GeometryError(f"contact field solve residual {residual:.3e} exceeds {tol:.0e}")
+    return Dual(x0[:, :d, 0], x1[..., :d, 0]), Dual(-x0[:, d, 0], -x1[..., d, 0])
 
 
 def _field_with_derivative(m: ContactManifold, p, dp, h=None) -> tuple:
@@ -524,7 +513,7 @@ def _field_with_derivative(m: ContactManifold, p, dp, h=None) -> tuple:
     q, dq = (p[None], dp[..., None, :]) if p.ndim == 1 else (p, dp)
     if q.ndim != 2 or dq.shape[-2:] != q.shape:
         raise ValueError(f"directions of shape {dp.shape} do not fit points of shape {p.shape}")
-    out = _contact_solve(m, q, dq, h)[0 if h is None else 1]
+    out = _contact_solve(m, q, dq, h)[0]
     return (out.val[0], out.eps[..., 0, :]) if p.ndim == 1 else (out.val, out.eps)
 
 

@@ -376,7 +376,7 @@ def unit_cotangent_sphere(conformal_exponent: Callable = None,
                     else (np.diag([0.0] * 3 + [2.0] * 3), np.zeros(6)))
     m = ContactManifold(
         name=f"cotangent-{label}", n=1, ambient_dim=6,
-        form=OneForm(coefs, 6, name="p.dq"),
+        form=OneForm(coefs, 6, name="p.dq", coefficient_map=(np.eye(6, k=-3), np.zeros(6))),
         constraints=(ScalarField(sphere_constraint, 6, name="|q|^2-1",
                                  gradient_map=(np.diag([2.0] * 3 + [0.0] * 3), np.zeros(6))),
                      ScalarField(orthogonality, 6, name="q.p",

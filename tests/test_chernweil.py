@@ -47,6 +47,24 @@ def test_unitary_moment_of_identity_is_half(sphere):
     assert np.allclose(vals, 0.5, atol=1e-13)
 
 
+def test_action_matrices_equal_the_kron_form(sphere, sphere5):
+    # L for z -> Az is kron(Re A, I) + kron(Im A, J), J: z -> iz, on
+    # (x_0, y_0, x_1, ...); the diagonal torus's a is A = i diag(a)
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    rng = np.random.default_rng(31)
+    for m in (sphere, sphere5, zoo.standard_sphere(3)):
+        unitary = unitary_action(m)
+        a = unitary.validate_element(unitary.random_element(rng))
+        lin = unitary.matrix(a)
+        assert np.array_equal(lin, np.kron(a.real, np.eye(2)) + np.kron(a.imag, turn)), m.key()
+        # L x is the fundamental field
+        pts = sample(m, 20)
+        assert np.allclose(pts @ lin.T, unitary.fundamental(a)(pts), rtol=0, atol=1e-14)
+        torus = diagonal_torus_action(m)
+        b = torus.random_element(rng)
+        assert np.array_equal(torus.matrix(b), np.kron(np.diag(b), turn)), m.key()
+
+
 def test_moment_linear_in_algebra_element(sphere):
     action = unitary_action(sphere)
     rng = np.random.default_rng(8)

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from contactkit import hamiltonian as hamiltonian_module
 from contactkit import zoo
 from contactkit.fields import VectorField
 from contactkit.hamiltonian import (NestedDualError, adjoint, bracket,
                                     bracket_hamiltonian, constant_hamiltonian,
                                     field_to_hamiltonian, hamiltonian,
                                     hamiltonian_to_field, is_reeb_invariant)
-from contactkit.manifold import hamiltonian_field_with_derivative
+from contactkit.manifold import GeometryError, hamiltonian_field_with_derivative
 from conftest import sample
 
 
@@ -173,6 +174,21 @@ def test_tagged_resolves_invariance_flag():
 
 def _golden():
     return zoo.weighted_sphere([1.0, (1.0 + np.sqrt(5.0)) / 2.0])
+
+
+def test_field_solve_residual_above_tol_raises(monkeypatch):
+    # no solve in floating point meets a tolerance below its rounding level
+    m = _golden()
+    h1 = hamiltonian(m, lambda c: c[0] * c[1] + c[3])
+    h2 = hamiltonian(m, lambda c: c[2] - c[3] * c[0])
+    pts = sample(m, 20)
+    hamiltonian_to_field(h1, pts)
+    bracket(h1, h2, pts)
+    with pytest.raises(GeometryError, match="residual"):
+        hamiltonian_to_field(h1, pts, tol=1e-20)
+    monkeypatch.setattr(hamiltonian_module, "FIELD_SOLVE_TOL", 1e-20)
+    with pytest.raises(GeometryError, match="residual"):
+        bracket(h1, h2, pts)
 
 
 def test_dual_bracket_evaluates_each_hamiltonian_at_most_twice(torus):

@@ -76,6 +76,34 @@ def test_alpha_null_kernel_is_a_contact_degeneracy():
                 call()
 
 
+def test_degeneracy_threshold_on_a_flat_chart():
+    # dt + s x dy on R^3 has contact density s and Reeb field d/dt; the
+    # ambient system reads as singular from s <= 1e-8 on and solves from s >= 1e-7
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-2.0, 2.0, size=(40, 3))
+    vecs = rng.normal(size=pts.shape)
+    for s in (1e-12, 1e-9, 1e-8, 1e-7, 1e-6, 1.0):
+        form = OneForm(lambda c, s=s: [0.0 * c[0], s * c[0], 1.0 + 0.0 * c[0]], 3,
+                       name=f"dt + {s} x dy")
+        m = ContactManifold(name="flat-chart", n=1, ambient_dim=3, form=form,
+                            params={"s": s})
+        h = hamiltonian(m, lambda c: np.cos(c[0]) + c[1] * c[2], name="h")
+        calls = (lambda: m.reeb_field(pts), lambda: reeb_with_derivative(m, pts, vecs),
+                 lambda: hamiltonian_to_field(h, pts),
+                 lambda: hamiltonian_field_with_derivative(m, h.field, pts, vecs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if s <= 1e-8:
+                for call in calls:
+                    with pytest.raises(ContactDegeneracyError):
+                        call()
+                continue
+            for call in calls[1:]:
+                call()
+            # rounding grows like the condition number, about 1/s
+            assert np.max(np.abs(m.reeb_field(pts) - [0.0, 0.0, 1.0])) <= 1e-15 / s, s
+
+
 def test_projection_lands_on_constraints(sphere, golden):
     rng = np.random.default_rng(5)
     for m in (sphere, golden):
@@ -110,7 +138,8 @@ def test_tangent_frame_orthonormal_and_tangent(golden):
 
 
 def test_reeb_residuals_small_everywhere(sphere, torus2, golden, cotangent):
-    for m in (sphere, torus2, golden, cotangent):
+    for m in (sphere, torus2, golden, cotangent, zoo.weighted_sphere([1.0, 2.0, 3.0]),
+              zoo.catalog()["cotangent-bump"](0.3)):
         res = m.reeb_residuals(sample(m, 100))
         worst = max(np.max(res["alpha"]), np.max(res["pairing"]), np.max(res["tangency"]))
         assert worst < 1e-10, m.name
@@ -193,12 +222,19 @@ def test_each_call_builds_its_contact_system_once(golden, monkeypatch):
 
     monkeypatch.setattr(manifold.ContactManifold, "tangent_frame", counted_frame)
     monkeypatch.setattr(manifold, "_ambient_data", counted_ambient)
-    # a contact system is factorised by one SVD (np.linalg.pinv takes its own)
+    # a contact system is factorised by one inverse, and no SVD is taken
+    svds = []
     for name in ("svd", "pinv"):
-        def counted_factor(*args, _fn=getattr(np.linalg, name), **kwargs):
-            counts["factor"] += 1
+        def counted_svd(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            svds.append(_name)
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted_factor)
+        monkeypatch.setattr(np.linalg, name, counted_svd)
+
+    def counted_inv(*args, _fn=np.linalg.inv, **kwargs):
+        counts["factor"] += 1
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
     h1 = hamiltonian(golden, lambda c: c[0] * c[1], name="h1")
     h2 = hamiltonian(golden, lambda c: c[2] - c[3] * c[0], name="h2")
     pts = sample(golden, 5)
@@ -209,14 +245,17 @@ def test_each_call_builds_its_contact_system_once(golden, monkeypatch):
         call()
         return counts["frame"], counts["ambient"], counts["factor"]
 
-    assert builds(lambda: golden.reeb_field(pts)) == (1, 0, 1)
-    assert builds(lambda: hamiltonian_to_field(h1, pts)) == (1, 0, 1)
-    assert builds(lambda: bracket(h1, h2, pts)) == (1, 0, 1)
-    assert builds(lambda: golden.reeb_residuals(pts)) == (1, 0, 1)
+    assert builds(lambda: golden.reeb_field(pts)) == (0, 1, 1)
+    assert builds(lambda: golden.reeb_field(pts[0])) == (0, 1, 1)
+    assert builds(lambda: hamiltonian_to_field(h1, pts)) == (0, 1, 1)
+    assert builds(lambda: bracket(h1, h2, pts)) == (0, 1, 1)
+    # the residuals pair the solved field with d alpha over the frame
+    assert builds(lambda: golden.reeb_residuals(pts)) == (1, 1, 1)
     assert builds(lambda: reeb_with_derivative(golden, pts, vecs)) == (0, 1, 1)
     assert builds(lambda: hamiltonian_field_with_derivative(golden, h1.field, pts, vecs)) == (0, 1, 1)
     nested = bracket_hamiltonian(h1, h2)
     assert builds(lambda: nested.field.directional(pts, vecs)) == (0, 1, 1)
+    assert svds == []
 
     # small systems are filled in place: no broadcast-and-stack copies
     assembled = []
@@ -231,16 +270,26 @@ def test_each_call_builds_its_contact_system_once(golden, monkeypatch):
     assert assembled == []
 
 
-def test_reeb_is_the_first_column_of_the_frame_pseudo_inverse(sphere, sphere5, golden, cotangent):
-    zoo_constrained = (sphere, sphere5, golden, cotangent, zoo.weighted_sphere([1.0, 2.0, 3.0]),
-                       zoo.catalog()["cotangent-bump"](0.3))
-    for m in zoo_constrained:
-        pts = sample(m, 16)
-        frame, system, pinv = m.frame_system(pts)
-        assert np.allclose(system @ pinv[..., :1], np.eye(m.dim + 1)[:, :1], atol=1e-13)
-        reeb = np.einsum("ni,nia->na", pinv[..., 0], frame)
-        ambient, _ = reeb_with_derivative(m, pts, m.random_tangents(pts, np.random.default_rng(1)))
-        assert np.max(np.abs(reeb - ambient)) < 1e-13, m.key()
+def test_fields_match_their_closed_forms(sphere, sphere5, golden, torus2):
+    # the Reeb fields of round and weighted spheres and of the tori, and the
+    # contact fields of unitary moments, which are the fundamental fields
+    weighted = zoo.weighted_sphere([1.0, 2.0, 3.0])
+    cases = [(m, zoo.sphere_reeb_closed_form)
+             for m in (sphere, sphere5, zoo.standard_sphere(3), sphere.scaled(2.5))]
+    cases += [(m, zoo.weighted_reeb_closed_form) for m in (golden, weighted)]
+    cases += [(m, zoo.torus_reeb_closed_form) for m in (zoo.torus3(1), torus2)]
+    for m, closed_form in cases:
+        pts = sample(m, 200, seed=14)
+        exact = closed_form(m, pts)
+        assert np.max(np.abs(m.reeb_field(pts) - exact)) <= 1e-14 * np.max(np.abs(exact)), m.key()
+    rng = np.random.default_rng(14)
+    for m in (sphere, sphere5, zoo.standard_sphere(3)):
+        action = unitary_action(m)
+        a = action.random_element(rng)
+        pts = sample(m, 200, seed=15)
+        exact = action.fundamental(a)(pts)
+        field = hamiltonian_to_field(moment_field(action, a), pts)
+        assert np.max(np.abs(field - exact)) <= 1e-14 * np.max(np.abs(exact)), m.key()
 
 
 def test_wrap_is_periodic_identity_on_torus(torus):
@@ -542,9 +591,9 @@ def test_gradient_maps_match_the_seeded_gradients():
         seeded = np.stack([np.broadcast_to(epsilon(c), (m.ambient_dim, len(pts)))
                            for c in m.form.coef_fn(seed(list(pts.T)))], axis=-1)
         assert np.max(np.abs(seeded - jac[:, None, :])) <= 1e-15 * np.max(np.abs(jac)), m.key()
-    # the standard form on three spheres and two ellipsoids, and two scaled
-    # copies; the cotangent bundles' p.dq and the torus form are seeded
-    assert forms == 7
+    # the standard form on three spheres and two ellipsoids, two scaled
+    # copies, and p.dq on both cotangent bundles; the torus form is seeded
+    assert forms == 9
 
 
 def _moment_cases():
