@@ -10,9 +10,12 @@ constraint gradients followed by the frame give a positively oriented
 ambient basis, times a per-manifold sign chosen by the constructors to
 make the contact volume density positive; they come from Householder
 reflections of the gradients (see tangent_frame).  The contact defect at
-a point is alpha ^ (d alpha)^n = n! Pf([[0, a], [-a^T, D]]) on the
-oriented orthonormal frame, a and D the values of alpha and d alpha
-there; for a contact form it is strictly positive.
+a point is alpha ^ (d alpha)^n on the oriented orthonormal frame, strictly
+positive for a contact form.  A mapped form on a manifold with
+constraints (the spheres, the ellipsoids, both cotangent bundles) takes it
+from ambient Pfaffians without a frame (see _ambient_density); the k = 0
+charts and unmapped forms take n! Pf([[0, a], [-a^T, D]]) on the frame,
+a and D the values of alpha and d alpha there.
 
 Storage.  The batched frame data is kept component-major, the point
 index last and contiguous: the frame as planes F (d, 2n+1, N), alpha's
@@ -21,16 +24,17 @@ an array operation over N values.  tangent_frame and OneForm.dmatrix
 return the views F.transpose(2, 1, 0), (N, 2n+1, d), and
 D.transpose(2, 0, 1), (N, 2n+1, 2n+1); transposing them back gives the
 planes without a copy.  Sums over a component axis run in a fixed order
-of whole-plane additions (see _dot), so a point gives the same bits
-alone as in a batch.
+of whole-plane additions (see _dot, _affine_planes), so a point gives
+the same bits alone as in a batch.
 
 Contact fields.  Every Reeb and Hamiltonian field, with or without a
 derivative, solves one square ambient system K with multipliers for alpha
 and the constraints (see _contact_solve), which reads the maps of linear
 forms and quadratic fields (see _ambient_data).  K is invertible exactly
 where the form is contact; _checked_inv inverts it once per call.  The
-frame serves the contact defect and reeb_residuals, which checks the
-ambient solve independently.
+frame serves the density of the k = 0 charts and of unmapped forms,
+random_tangents, and reeb_residuals, which checks the ambient solve
+independently.
 """
 
 from __future__ import annotations
@@ -100,6 +104,17 @@ def _dot(u, v):
             folded[0] += terms[-1]
         terms = folded
     return terms[0]
+
+
+def _gradient_volume(grads: np.ndarray) -> np.ndarray:
+    """sqrt det(G G^T), the product of the singular values, of gradient planes
+    G (k, d, N), k >= 1: the norm for k = 1.  Raises DegenerateFrameError
+    where sigma_min <= 1e-10 sigma_max, for k = 1 where the gradient is zero."""
+    sv = (np.sqrt(_dot(grads[0], grads[0]))[:, None] if len(grads) == 1
+          else np.linalg.svd(grads.transpose(2, 0, 1), compute_uv=False))
+    if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
+        raise DegenerateFrameError("constraint gradients are linearly dependent")
+    return math.prod(sv.T)
 
 
 def _normal_part(grads: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -249,7 +264,8 @@ class ContactManifold:
         k... of Q^T are the frame.  det [G; frame] has the sign of
         prod_j R_jj (-1)^k, so the last row is flipped where that times
         frame_sign is negative.  Deterministic in the input point.  Raises
-        DegenerateFrameError when the constraint gradients lose rank.
+        DegenerateFrameError when the constraint gradients lose rank (see
+        _gradient_volume).
 
         The reflections act on planes P[c, r] = Q^T[r, c], (d, d, N); the
         frame is stored as the contiguous planes F (d, 2n+1, N) and
@@ -263,18 +279,14 @@ class ContactManifold:
         if k == 0 and d != self.dim:
             raise GeometryError("free chart dimension mismatch")
         grads = self.constraint_gradients(q)
-        if k > 1:
-            sv = np.linalg.svd(grads, compute_uv=False)
-            if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
-                raise DegenerateFrameError("constraint gradients are linearly dependent")
+        if k:
+            _gradient_volume(grads.transpose(1, 2, 0))
         planes, orient = _unit_seeds(d, 1), float(self.frame_sign)
         for j in range(k):
             g = grads[:, j].T
             x = _dot(g[:, None], planes) if j else g.copy()
             x[:j] = 0.0  # H_{j-1} ... H_0 g_j with its first j entries cut
             norm = np.sqrt(_dot(x, x))
-            if not norm.all():  # k = 1's singular value test, ahead of a 0/0
-                raise DegenerateFrameError("constraint gradients are linearly dependent")
             # v = x + s |x| e_j reflects x to R_jj e_j, R_jj = -s |x|; w = 2 v / |v|^2
             s = np.copysign(1.0, x[j])
             orient *= s
@@ -292,24 +304,70 @@ class ContactManifold:
         return frame[0] if scalar else frame
 
     def contact_defect(self, pts) -> np.ndarray:
-        """alpha ^ (d alpha)^n on the oriented orthonormal frame.
+        """alpha ^ (d alpha)^n on the oriented orthonormal frame, from ambient
+        data where _ambient_density applies and on tangent_frame otherwise.
 
         Positive everywhere for a contact form; the caller decides what
-        to do with non-positive values.  Evaluation failures map to NaN.
+        to do with non-positive values.  Raises DegenerateFrameError where
+        the constraint gradients lose rank; other evaluation failures map to NaN.
         """
         pts = np.asarray(pts, dtype=float)
         scalar = pts.ndim == 1
         q = np.atleast_2d(pts)
         try:
-            frame = self.tangent_frame(q)
-            # alpha in the frame and the d alpha matrix as planes (2n+1, N), (2n+1, 2n+1, N)
-            a = _dot(self.form.coefficients(q).T[:, None], frame.transpose(2, 1, 0))
-            out = _bordered_wedge(a, self.form.dmatrix(q, frame).transpose(1, 2, 0), self.n)
+            out = self._ambient_density(q)
+            if out is None:
+                frame = self.tangent_frame(q)
+                # alpha in the frame and the d alpha matrix as planes (2n+1, N), (2n+1, 2n+1, N)
+                a = _dot(self.form.coefficients(q).T[:, None], frame.transpose(2, 1, 0))
+                out = _bordered_wedge(a, self.form.dmatrix(q, frame).transpose(1, 2, 0), self.n)
         except GeometryError:
             raise
         except (FloatingPointError, ValueError, ZeroDivisionError, OverflowError):
             out = np.full(q.shape[0], np.nan)
         return float(out[0]) if scalar else out
+
+    def _ambient_density(self, q: np.ndarray) -> Optional[np.ndarray]:
+        """alpha ^ (d alpha)^n at points q (N, d) from ambient data, or None
+        where the frame serves it: no constraints, no coefficient_map (W, w0),
+        or Omega = d alpha = W - W^T singular (see _checked_inv).
+
+        With gradients G, B = [G; alpha] and S = B Omega^-1 B^T, it is
+        (-1)^(k(k+1)/2) frame_sign n! Pf(Omega) Pf(S) / sqrt det(G G^T).  The
+        sign: the power k+1+n of sum_i dt_i ^ B_i + d alpha on R^(k+1) x R^d
+        gives dg_1 ^ ... ^ dg_k ^ alpha ^ (d alpha)^n = (-1)^(k(k+1)/2) n!
+        Pf([[0, B], [-B^T, Omega]]) dx.  Moving the border last, of sign
+        (-1)^((k+1)d) = (-1)^(k+1), and the Schur complement make that
+        Pfaffian (-1)^(k+1) Pf(Omega) Pf(S), and k is odd as d is even.  On
+        [N; frame], N orthonormal rows spanning G's, the d-form reads det(G N^T)
+        times the density and det[N; frame] times its coefficient; as
+        det[G; frame] = frame_sign sqrt det(G G^T) (see tangent_frame), the
+        density is the coefficient times frame_sign / sqrt det(G G^T).
+        """
+        form_map, k = self.form.coefficient_map, len(self.constraints)
+        if not k or form_map is None:
+            return None
+        omega = form_map[0] - form_map[0].T
+        try:
+            inv = _checked_inv(omega)
+        except ContactDegeneracyError:
+            return None
+        x = np.ascontiguousarray(q.T)
+        rows, coords = np.empty((k + 1,) + x.shape), None
+        for row, c in zip(rows, self.constraints):
+            if c.gradient_map is None:
+                coords = seed(list(x)) if coords is None else coords
+                row[...] = epsilon(c.fn(coords))
+            else:
+                row[...] = _affine_planes(c.gradient_map, x)
+        rows[k] = _affine_planes(form_map, x)
+        volume = _gradient_volume(rows[:k])
+        solved = [_affine_planes((inv.T, np.zeros(len(inv))), b) for b in rows[1:]]
+        schur = {(r, c): _dot(rows[r], s) for c, s in enumerate(solved, 1) for r in range(c)}
+        entries = omega.tolist()
+        pf = _pfaffian(lambda r, c: entries[r][c], len(entries))
+        sign = (-1) ** (k * (k + 1) // 2) * self.frame_sign * math.factorial(self.n)
+        return sign * pf * _pfaffian(lambda r, c: schur[r, c], k + 1) / volume
 
     def reeb_field(self, pts) -> np.ndarray:
         """Reeb vector field: alpha(R) = 1 and d alpha(R, .) = 0 on TM,
@@ -365,23 +423,28 @@ def _matchings(idx: tuple) -> tuple:
                  for sign, pairs in _matchings(idx[1:p] + idx[p + 1:]))
 
 
+def _pfaffian(entry: Callable, size: int):
+    """Pf of an antisymmetric matrix of even size from its entries entry(r, c),
+    r < c, numbers or planes, summed over its matchings, products in pair order."""
+    total = 0.0
+    for sign, pairs in _matchings(tuple(range(size))):
+        term = entry(*pairs[0])
+        for pair in pairs[1:]:
+            term = term * entry(*pair)
+        total = total + term if sign > 0 else total - term
+    return total
+
+
 def _bordered_wedge(a: np.ndarray, dmat: np.ndarray, n: int) -> np.ndarray:
     """alpha ^ (d alpha)^n on a frame from alpha values and the d alpha matrix.
 
-    Equals n! Pf(B) for the bordered matrix B = [[0, a], [-a^T, D]]: one
-    signed sum over B's (2n+1)!! perfect matchings, each factor read from
-    a (a pair (0, i) is a_{i-1}) or from D, without forming B.  Both are
-    planes with the point index last, a (2n+1, N) and D (2n+1, 2n+1, N),
-    so each factor a[i] or D[r, c] is a contiguous row of N values.
+    Equals n! Pf(B) for the bordered matrix B = [[0, a], [-a^T, D]], each
+    entry read from a (a pair (0, i) is a_{i-1}) or from D, without
+    forming B.  Both are planes with the point index last, a (2n+1, N)
+    and D (2n+1, 2n+1, N), so each entry is a contiguous row of N values.
     """
-    total, term = np.zeros(a.shape[-1]), np.empty(a.shape[-1])
-    for sign, ((_, i), *pairs) in _matchings(tuple(range(2 * n + 2))):
-        factors = [dmat[r - 1, c - 1] for r, c in pairs] or [1.0]
-        np.multiply(a[i - 1], factors[0], out=term)
-        for f in factors[1:]:
-            term *= f
-        (np.add if sign > 0 else np.subtract)(total, term, out=total)
-    return math.factorial(n) * total
+    return math.factorial(n) * _pfaffian(
+        lambda r, c: dmat[r - 1, c - 1] if r else a[c - 1], 2 * n + 2)
 
 
 # the ambient contact solve, differentiable through dual seeding.  Batched
@@ -408,6 +471,18 @@ def _columns(x: Dual) -> list:
 def _affine(amap: tuple, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """x @ A + a0, into out if given, for a gradient_map or coefficient_map (A, a0)."""
     return np.add(x @ amap[0], amap[1], out=out)
+
+
+def _affine_planes(amap: tuple, x: np.ndarray) -> np.ndarray:
+    """x @ A + a0 for a map (A, a0) on planes x (d, N), plane b summed over the
+    non-zero A[e, b] in index order: whole-plane multiply-adds, as in
+    OneForm.dmatrix, give the same bits alone as in a batch; BLAS need not."""
+    mat, shift = amap
+    out = np.repeat(shift[:, None], x.shape[1], axis=1)
+    for b, column in enumerate(mat.T):
+        for e in np.flatnonzero(column):
+            out[b] += column[e] * x[e]
+    return out
 
 
 def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):

@@ -32,6 +32,12 @@ def test_sphere5_defect_is_one(sphere5):
     assert np.allclose(sphere5.contact_defect(pts), 1.0, atol=1e-12)
 
 
+def test_sphere7_defect_is_three():
+    sphere7 = zoo.standard_sphere(3)
+    pts = sample(sphere7, 100)
+    assert np.allclose(sphere7.contact_defect(pts), 3.0, atol=1e-12)
+
+
 def test_torus_defect_equals_winding():
     for k in (1, 2, 3):
         m = zoo.torus3(k)
@@ -553,6 +559,8 @@ def test_reflection_frame_rank_loss_raises_without_warning(sphere, golden, cotan
             for pts in (bad, batch):
                 with pytest.raises(DegenerateFrameError):
                     m.tangent_frame(pts)
+                with pytest.raises(DegenerateFrameError):
+                    m.contact_defect(pts)
 
 
 # quadratic constraints: gradients from their affine maps
@@ -630,6 +638,33 @@ def _unmapped(m):
     """m with its form's coefficient map and its gradient maps stripped."""
     return replace(m, form=OneForm(m.form.coef_fn, m.ambient_dim, m.form.name),
                    constraints=tuple(ScalarField(c.fn, c.dim, c.name) for c in m.constraints))
+
+
+def test_ambient_density_matches_the_frame_density():
+    # a form without a map takes the bordered Pfaffian on the tangent frame
+    cases = _constrained_zoo() + (zoo.standard_sphere(1).scaled(2.5),)
+    for m in cases:
+        assert m.form.coefficient_map is not None, m.key()
+        framed = replace(m, form=OneForm(m.form.coef_fn, m.ambient_dim, m.form.name))
+        pts = sample(m, 300, seed=24)
+        ambient, frame = m.contact_defect(pts), framed.contact_defect(pts)
+        assert np.all(frame > 0.0), m.key()
+        assert np.max(np.abs(ambient - frame) / frame) <= 1e-14, m.key()
+    # the cotangent constructors calibrate frame_sign through contact_defect
+    assert [m.frame_sign for m in cases if m.name.startswith("cotangent")] == [-1, -1]
+
+
+def test_mapped_form_with_singular_d_alpha_keeps_the_frame():
+    # S^3 cut out of R^5 by |z|^2 = 1 and x_4 = 0: d alpha is singular on R^5
+    s3 = zoo.standard_sphere(1)
+    w = np.zeros((5, 5))
+    w[:4, :4] = s3.form.coefficient_map[0]
+    form = OneForm(lambda c: s3.form.coef_fn(c[:4]) + [0.0 * c[0]], 5,
+                   coefficient_map=(w, np.zeros(5)))
+    cut = (ScalarField(lambda c: s3.constraints[0].fn(c[:4]), 5), ScalarField(lambda c: c[4], 5))
+    m = ContactManifold("cut-sphere", 1, 5, form, cut)
+    pts = np.hstack([sample(s3, 50), np.zeros((50, 1))])
+    assert np.allclose(np.abs(m.contact_defect(pts)), 0.5, atol=1e-12)
 
 
 def test_ambient_data_from_maps_matches_the_seeded_pass():
