@@ -4,7 +4,9 @@ A contact vector field X determines the Hamiltonian H = alpha(X); the
 inverse direction solves i_X alpha = H, i_X dalpha = -dH + (i_R dH) alpha
 on TM pointwise, as one square ambient system with multipliers for alpha
 and the constraints (see manifold._contact_solve), which gives dH(R)
-with the field.  The bracket
+with the field.  On the spheres, the ellipsoids and the cotangent
+bundles that system is solved through its (k+1) x (k+1) Schur
+complement in closed form (see manifold._schur_solve).  The bracket
 
     [H1, H2] = dH1(R) H2 - dH2(X1)
 

@@ -29,12 +29,15 @@ the same bits alone as in a batch.
 
 Contact fields.  Every Reeb and Hamiltonian field, with or without a
 derivative, solves one square ambient system K with multipliers for alpha
-and the constraints (see _contact_solve), which reads the maps of linear
-forms and quadratic fields (see _ambient_data).  K is invertible exactly
-where the form is contact; _checked_inv inverts it once per call.  The
-frame serves the density of the k = 0 charts and of unmapped forms,
-random_tangents, and reeb_residuals, which checks the ambient solve
-independently.
+and the constraints (see _contact_solve).  One pass builds its rows,
+reading the maps of linear forms and quadratic fields (see _ambient_rows).
+K is invertible exactly where the form is contact.  The manifolds whose
+density comes from ambient Pfaffians (see _schur_route) solve K through
+its (k+1) x (k+1) Schur complement S = B Omega^-1 B^T, B = [G; alpha], in
+closed form (see _schur_solve); the k = 0 charts and unmapped forms
+invert K once per call (see _ambient_data, _checked_inv).  The frame serves
+the density of the k = 0 charts and of unmapped forms, random_tangents,
+and reeb_residuals, which checks the ambient solve independently.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dual import Dual, _unit_seeds, epsilon, seed, value
-from .fields import OneForm, ScalarField, _stack
+from .fields import OneForm, ScalarField, _filled, _stack
 
 
 class GeometryError(Exception):
@@ -68,21 +71,23 @@ class ProjectionError(GeometryError):
 
 # a contact system K of size m with DEGENERACY_RTOL |K|_F |K^-1|_F >= 1 is
 # singular: the form is not contact there.  The Frobenius product lies
-# between the condition number kappa_2 and m kappa_2
+# between the condition number kappa_2 and m kappa_2; the Schur route
+# takes it from K's blocks (see _schur_factor)
 DEGENERACY_RTOL = 1e-8
+_SINGULAR = "the contact system is singular; the form is not contact there"
+_TINY = np.finfo(float).tiny
 
 
 def _checked_inv(system: np.ndarray) -> np.ndarray:
     """np.linalg.inv of contact systems (N, m, m), or ContactDegeneracyError
     where one is singular or DEGENERACY_RTOL * |K|_F |K^-1|_F >= 1."""
-    message = "the contact system is singular; the form is not contact there"
     try:
         inv = np.linalg.inv(system)
     except np.linalg.LinAlgError as exc:
-        raise ContactDegeneracyError(message) from exc
+        raise ContactDegeneracyError(_SINGULAR) from exc
     fro = np.linalg.norm(system, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
     if not np.all(DEGENERACY_RTOL * fro < 1.0):
-        raise ContactDegeneracyError(message)
+        raise ContactDegeneracyError(_SINGULAR)
     return inv
 
 
@@ -109,12 +114,41 @@ def _dot(u, v):
 def _gradient_volume(grads: np.ndarray) -> np.ndarray:
     """sqrt det(G G^T), the product of the singular values, of gradient planes
     G (k, d, N), k >= 1: the norm for k = 1.  Raises DegenerateFrameError
-    where sigma_min <= 1e-10 sigma_max, for k = 1 where the gradient is zero."""
-    sv = (np.sqrt(_dot(grads[0], grads[0]))[:, None] if len(grads) == 1
-          else np.linalg.svd(grads.transpose(2, 0, 1), compute_uv=False))
-    if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
-        raise DegenerateFrameError("constraint gradients are linearly dependent")
-    return math.prod(sv.T)
+    where sigma_min <= 1e-10 sigma_max, for k = 1 where the gradient is zero.
+
+    For k > 1 the Gram determinant decides first: det / tr^k <=
+    (sigma_min / sigma_max)^2 for G G^T, so a point with det / tr^k > 1e-20
+    has sigma_min > 1e-10 sigma_max and its volume is sqrt det.  Only the
+    other points take np.linalg.svd, for the test and the volume.
+    """
+    k, message = len(grads), "constraint gradients are linearly dependent"
+    if k == 1:
+        norm = np.sqrt(_dot(grads[0], grads[0]))
+        if np.any(norm <= 1e-10 * norm):
+            raise DegenerateFrameError(message)
+        return norm
+    gram = [[_dot(grads[i], grads[j]) for j in range(k)] for i in range(k)]
+    det, trace = _det(gram, tuple(range(k)), tuple(range(k))), sum(gram[i][i] for i in range(k))
+    doubtful = ~(det > 1e-20 * trace ** k)
+    volume = np.sqrt(np.where(doubtful, 0.0, det))
+    if np.any(doubtful):
+        sv = np.linalg.svd(grads[..., doubtful].transpose(2, 0, 1), compute_uv=False)
+        if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
+            raise DegenerateFrameError(message)
+        volume[doubtful] = math.prod(sv.T)
+    return volume
+
+
+def _det(entries: list, rows: tuple, cols: tuple):
+    """The determinant of the minor rows x cols of a square matrix given by
+    its entries, numbers or planes, by cofactor expansion along its first row."""
+    if len(rows) == 1:
+        return entries[rows[0]][cols[0]]
+    total = 0.0
+    for j, c in enumerate(cols):
+        term = entries[rows[0]][c] * _det(entries, rows[1:], cols[:j] + cols[j + 1:])
+        total = total - term if j % 2 else total + term
+    return total
 
 
 def _normal_part(grads: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -330,7 +364,8 @@ class ContactManifold:
     def _ambient_density(self, q: np.ndarray) -> Optional[np.ndarray]:
         """alpha ^ (d alpha)^n at points q (N, d) from ambient data, or None
         where the frame serves it: no constraints, no coefficient_map (W, w0),
-        or Omega = d alpha = W - W^T singular (see _checked_inv).
+        or Omega = d alpha = W - W^T singular (see _schur_route).  Omega^-1 and
+        Pf(Omega) are the form's, taken once when it is built.
 
         With gradients G, B = [G; alpha] and S = B Omega^-1 B^T, it is
         (-1)^(k(k+1)/2) frame_sign n! Pf(Omega) Pf(S) / sqrt det(G G^T).  The
@@ -344,14 +379,10 @@ class ContactManifold:
         det[G; frame] = frame_sign sqrt det(G G^T) (see tangent_frame), the
         density is the coefficient times frame_sign / sqrt det(G G^T).
         """
-        form_map, k = self.form.coefficient_map, len(self.constraints)
-        if not k or form_map is None:
+        if not _schur_route(self):
             return None
-        omega = form_map[0] - form_map[0].T
-        try:
-            inv = _checked_inv(omega)
-        except ContactDegeneracyError:
-            return None
+        form, k = self.form, len(self.constraints)
+        inv, form_map = form.omega_inv, form.coefficient_map
         x = np.ascontiguousarray(q.T)
         rows, coords = np.empty((k + 1,) + x.shape), None
         for row, c in zip(rows, self.constraints):
@@ -364,10 +395,9 @@ class ContactManifold:
         volume = _gradient_volume(rows[:k])
         solved = [_affine_planes((inv.T, np.zeros(len(inv))), b) for b in rows[1:]]
         schur = {(r, c): _dot(rows[r], s) for c, s in enumerate(solved, 1) for r in range(c)}
-        entries = omega.tolist()
-        pf = _pfaffian(lambda r, c: entries[r][c], len(entries))
         sign = (-1) ** (k * (k + 1) // 2) * self.frame_sign * math.factorial(self.n)
-        return sign * pf * _pfaffian(lambda r, c: schur[r, c], k + 1) / volume
+        pf = _pfaffian(lambda r, c: schur[r, c], tuple(range(k + 1)))
+        return sign * form.omega_pfaffian * pf / volume
 
     def reeb_field(self, pts) -> np.ndarray:
         """Reeb vector field: alpha(R) = 1 and d alpha(R, .) = 0 on TM,
@@ -423,15 +453,17 @@ def _matchings(idx: tuple) -> tuple:
                  for sign, pairs in _matchings(idx[1:p] + idx[p + 1:]))
 
 
-def _pfaffian(entry: Callable, size: int):
-    """Pf of an antisymmetric matrix of even size from its entries entry(r, c),
-    r < c, numbers or planes, summed over its matchings, products in pair order."""
-    total = 0.0
-    for sign, pairs in _matchings(tuple(range(size))):
-        term = entry(*pairs[0])
+def _pfaffian(entry: Callable, idx: tuple):
+    """Pf of the antisymmetric matrix over the indices idx, of even length, from
+    its entries entry(r, c), r < c, numbers or planes, summed over its
+    matchings, products in pair order; 1.0 for no indices.  The first
+    matching's sign is +1, and the sum starts from its term."""
+    total = None
+    for sign, pairs in _matchings(idx):
+        term = entry(*pairs[0]) if pairs else 1.0
         for pair in pairs[1:]:
             term = term * entry(*pair)
-        total = total + term if sign > 0 else total - term
+        total = term if total is None else total + term if sign > 0 else total - term
     return total
 
 
@@ -444,18 +476,13 @@ def _bordered_wedge(a: np.ndarray, dmat: np.ndarray, n: int) -> np.ndarray:
     and D (2n+1, 2n+1, N), so each entry is a contiguous row of N values.
     """
     return math.factorial(n) * _pfaffian(
-        lambda r, c: dmat[r - 1, c - 1] if r else a[c - 1], 2 * n + 2)
+        lambda r, c: dmat[r - 1, c - 1] if r else a[c - 1], tuple(range(2 * n + 2)))
 
 
 # the ambient contact solve, differentiable through dual seeding.  Batched
 # over points: p (N, d) with dp (N, d), or (k, N, d) for k seeds at once,
 # gives Duals with values (N, ...) and eps parts (N, ...) or (k, N, ...);
 # directions (0, N, d) give the values alone.
-
-
-def _linear(f, *xs):
-    """A linear map applied alike to the value and eps parts of Duals."""
-    return Dual(f(*(x.val for x in xs)), f(*(x.eps for x in xs)))
 
 
 def _columns(x: Dual) -> list:
@@ -485,74 +512,220 @@ def _affine_planes(amap: tuple, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None):
-    """The ambient contact system at p with its derivative along dp.
+def _schur_route(m: ContactManifold) -> bool:
+    """Whether m's contact fields and density come from the Schur complement
+    of the ambient system: k >= 1 constraints and a form with a
+    coefficient_map whose Omega = W - W^T passes _checked_inv."""
+    return bool(m.constraints) and m.form.omega_inv is not None
+
+
+def _ambient_rows(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None) -> tuple:
+    """The rows of the ambient contact system at p with their derivatives along dp.
 
     Mapped fields give theirs in closed form (see _affine), each with the
-    derivative dp @ A: alpha and d alpha = W - W^T from the form's
-    coefficient_map, the gradients of the constraints and of h from
-    their gradient_maps.  The others take one pass: p seeded along dp
-    (see _columns), the d unit directions in front.  Returns (K, r):
-    K (N, d+1+k, d+1+k) has rows [Omega, -alpha^T, -grads^T], [alpha, 0, 0],
-    [grads, 0, 0] with Omega[a, b] = d_a w_b - d_b w_a, and r (N, d+1+k)
-    is (dH, H, 0), with H = 1 without h: the Reeb field is the contact
-    field of 1.  Each is a Dual of arrays whose eps part is the dp-derivative.
+    derivative dp @ A: alpha from the form's coefficient_map, the gradients
+    of the constraints and of h from their gradient_maps, and h's value
+    from one plain evaluation.  The others take one pass: p seeded along dp
+    (see _columns), the d unit directions in front.  Returns (alpha, jac,
+    grads, hval), Duals of arrays whose eps part is the dp-derivative:
+    alpha (N, d); jac (N, d, d) with jac[b, a] = d_a w_b, or None for a
+    mapped form, whose d alpha is the constant form.omega; grads (N, k, d),
+    with h's gradient as a last row (N, k+1, d); hval (N,), None without h.
+    Where nothing is mapped all four are views of the seeded pass.
     """
-    d, k = m.ambient_dim, len(m.constraints)
-    n_pts, lead = p.shape[0], dp.shape[:-2]
+    d, n_pts, lead = m.ambient_dim, p.shape[0], dp.shape[:-2]
     scalars, form_map = list(m.constraints) + ([] if h is None else [h]), m.form.coefficient_map
-    # columns: the form's d coefficients, the constraints, h or 1; mapped constraints' values stay 0
-    width = d + k + 1
-    vals = Dual(np.zeros((n_pts, width)), np.zeros(lead + (n_pts, width)))
-    grads = Dual(np.zeros((n_pts, d, width)), np.zeros(lead + (n_pts, d, width)))
-    if h is None:
-        vals.val[:, -1] = 1.0
-
-    def fill(target, cols, jet):
-        target.val[..., cols], target.eps[..., cols] = jet.val, jet.eps
-
-    seeded = [c for c, f in enumerate(scalars, d) if f.gradient_map is None]
-    if form_map is None:
-        seeded = list(range(d)) + seeded
-    else:
-        fill(vals, slice(0, d), Dual(_affine(form_map, p), dp @ form_map[0]))
-        grads.val[..., :d] = form_map[0]
-    for c, f in enumerate(scalars, d):
-        if f.gradient_map is not None:
-            fill(grads, c, Dual(_affine(f.gradient_map, p), dp @ f.gradient_map[0]))
-    if seeded:
+    seeded = [i for i, f in enumerate(scalars) if f.gradient_map is None]
+    alpha = jac = hval = None
+    if form_map is not None:
+        # value-only directions (0, N, d) are themselves the empty eps part
+        alpha = Dual(_affine(form_map, p), dp @ form_map[0] if dp.size else dp)
+    if form_map is None or seeded:
         coords = seed(_columns(Dual(p, dp)))
         out = [] if form_map is not None else list(m.form.coef_fn(coords))
-        out += [scalars[c - d].fn(coords) for c in seeded[len(out):]]
+        out += [scalars[i].fn(coords) for i in seeded]
         outer = [(x.val, x.eps) if isinstance(x, Dual) else (x, 0.0) for x in out]
-        fill(vals, seeded, Dual(_stack([value(v) for v, _ in outer], (n_pts,)),
-                                _stack([epsilon(v) for v, _ in outer], lead + (n_pts,))))
+        vals = Dual(_stack([value(v) for v, _ in outer], (n_pts,)),
+                    _stack([epsilon(v) for v, _ in outer], lead + (n_pts,)))
         # gradients carry the direction axis in front of dp's axes; their
         # values do not vary along dp's axes, which a value-only pass lacks
         inner = (1,) * len(lead) if dp.size else ()
         grad_val = _stack([value(g) for _, g in outer], (d,) + inner + (n_pts,))
         grad_eps = _stack([epsilon(g) for _, g in outer], (d,) + lead + (n_pts,))
-        fill(grads, seeded, Dual(np.moveaxis(grad_val.reshape(d, n_pts, -1), 0, -2),
-                                 np.moveaxis(grad_eps, 0, -2)))
-    if h is not None and h.gradient_map is not None:
-        fill(vals, -1, Dual(h.fn([p[:, a] for a in range(d)]), np.sum(grads.val[..., -1] * dp, -1)))
+        # one gradient row (N, d) per function, the functions in order
+        rows = Dual(np.moveaxis(grad_val.reshape(d, n_pts, -1), 0, -1),
+                    np.moveaxis(grad_eps, 0, -1))
+        start = 0
+        if form_map is None:
+            alpha = Dual(vals.val[..., :d], vals.eps[..., :d])
+            jac, start = Dual(rows.val[..., :d, :], rows.eps[..., :d, :]), d
+        if h is not None and h.gradient_map is None:
+            hval = Dual(vals.val[..., -1], vals.eps[..., -1])
+    if seeded and len(seeded) == len(scalars):
+        grads = Dual(rows.val[..., start:, :], rows.eps[..., start:, :])
+    else:
+        grads = Dual(np.empty((n_pts, len(scalars), d)), np.empty(lead + (n_pts, len(scalars), d)))
+        for i, f in enumerate(scalars):
+            if f.gradient_map is not None:
+                _affine(f.gradient_map, p, out=grads.val[:, i])
+                if dp.size:
+                    grads.eps[..., i, :] = dp @ f.gradient_map[0]
+        if seeded:
+            grads.val[:, seeded] = rows.val[..., start:, :]
+            grads.eps[..., seeded, :] = rows.eps[..., start:, :]
+    if hval is None and h is not None:
+        hval = Dual(_filled(h.fn([p[:, a] for a in range(d)]), (n_pts,)),
+                    np.sum(grads.val[:, -1] * dp, -1))
+    return alpha, jac, grads, hval
 
-    def assemble(v, g):
-        coef, cons = g[..., :d], g[..., d:d + k]
-        s = np.zeros(v.shape[:-1] + (d + 1 + k,) * 2)
-        s[..., :d, :d] = coef - np.swapaxes(coef, -1, -2)
-        s[..., :d, d] = -v[..., :d]
-        s[..., :d, d + 1:] = -cons
-        s[..., d, :d] = v[..., :d]
-        s[..., d + 1:, :d] = np.swapaxes(cons, -1, -2)
+
+def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None) -> tuple:
+    """The square ambient system of _contact_solve at p with its derivative
+    along dp, assembled from _ambient_rows.
+
+    Returns (K, r): K (N, d+1+k, d+1+k) has rows [Omega, -alpha^T, -G^T],
+    [alpha, 0, 0], [G, 0, 0] with Omega[a, b] = d_a w_b - d_b w_a, and
+    r (N, d+1+k) is (dH, H, 0), with H = 1 without h: the Reeb field is the
+    contact field of 1.  Each is a Dual of arrays whose eps part is the
+    dp-derivative.  Unmapped parts are read from the seeded pass directly.
+    """
+    d, k = m.ambient_dim, len(m.constraints)
+    size = d + 1 + k
+    alpha, jac, grads, hval = _ambient_rows(m, p, dp, h)
+
+    def assemble(a, j, g, omega):
+        s = np.zeros(a.shape[:-1] + (size, size))
+        if j is not None:
+            s[..., :d, :d] = j.swapaxes(-1, -2) - j
+        elif omega is not None:
+            s[..., :d, :d] = omega
+        cons = g[..., :k, :]
+        s[..., :d, d] = -a
+        s[..., :d, d + 1:] = -cons.swapaxes(-1, -2)
+        s[..., d, :d] = a
+        s[..., d + 1:, :d] = cons
         return s
 
-    def rhs(v, g):
-        r = np.zeros(v.shape[:-1] + (d + 1 + k,))
-        r[..., :d], r[..., d] = g[..., -1], v[..., -1]
-        return r
+    system = Dual(assemble(alpha.val, None if jac is None else jac.val, grads.val, m.form.omega),
+                  assemble(alpha.eps, None if jac is None else jac.eps, grads.eps, None))
+    rhs = Dual(np.zeros(alpha.val.shape[:-1] + (size,)), np.zeros(alpha.eps.shape[:-1] + (size,)))
+    if hval is None:
+        rhs.val[..., d] = 1.0
+    else:
+        for r, hv, g in ((rhs.val, hval.val, grads.val), (rhs.eps, hval.eps, grads.eps)):
+            r[..., :d], r[..., d] = g[..., k, :], hv
+    return system, rhs
 
-    return _linear(assemble, vals, grads), _linear(rhs, vals, grads)
+
+@lru_cache(maxsize=None)
+def _cofactors(size: int) -> tuple:
+    """The pairs r < c of range(size) with the other indices, and the signs
+    (-1)^(r+c+1) as a symmetric (size, size) matrix, for _schur_factor."""
+    pairs = tuple((r, c, tuple(i for i in range(size) if i not in (r, c)))
+                  for r in range(size) for c in range(r + 1, size))
+    rows, cols = np.indices((size, size))
+    return pairs, (-1.0) ** (rows + cols + 1)
+
+
+def _schur_factor(form: OneForm, b: np.ndarray) -> tuple:
+    """P = B Omega^-1, Y = S^-T for S = P B^T, and |K|_F |K^-1|_F, for rows
+    B = [G; alpha] (N, k+1, d) of a form with omega_inv (see _schur_solve).
+
+    S is antisymmetric of even size k+1; Y = -S^-1 is its Pfaffian
+    adjugate, Y[r, c] = (-1)^(r+c+1) Pf(S without rows and columns r, c)
+    / Pf(S) for r < c: 1/s for k+1 = 2, and the 2x2 entries of S over
+    Pf(S) for k+1 = 4, plain arithmetic on the entries r < c of S.
+
+    The Frobenius product of the ambient system K = [[Omega, -B^T], [B, 0]]
+    comes from the blocks.  |K|^2 = |Omega|^2 + 2 |B|^2.  With
+    Omega^-1 B^T = -P^T, block elimination gives
+    K^-1 = [[Omega^-1 + P^T S^-1 P, -P^T S^-1], [-S^-1 P, S^-1]], so with
+    T = P Omega^-1 P^T and Q = P P^T, all but Q antisymmetric,
+    |K^-1|^2 = |Omega^-1|^2 + 2 <S^-1, T> - tr((S^-1 Q)^2) + 2 |S^-1 P|^2
+    + |S^-1|^2: <Omega^-1, P^T S^-1 P> = tr(S^-1 P Omega^-T P^T) and
+    |P^T S^-1 P|^2 = tr(S^-T Q S^-1 Q).  In Y, <S^-1, T> = -<Y, T> and
+    the other terms read alike.  Raises ContactDegeneracyError where
+    Pf(S) is zero or below the smallest normal number, or where
+    DEGENERACY_RTOL |K|_F |K^-1|_F >= 1, as _checked_inv does for K.
+    """
+    inv, size = form.omega_inv, b.shape[-2]
+    p_mat = b @ inv
+    # S = P B^T, Q = P P^T and P (P Omega^-1)^T = -T from one product
+    blocks = p_mat @ np.concatenate((b, p_mat, p_mat @ inv), axis=-2).swapaxes(-1, -2)
+    s, q, minus_t = blocks[..., :size], blocks[..., size:2 * size], blocks[..., 2 * size:]
+    entry = lambda r, c: s[:, r, c]
+    pf = _pfaffian(entry, tuple(range(size)))
+    if not (abs(pf) >= _TINY).all():
+        raise ContactDegeneracyError(_SINGULAR)
+    pairs, signs = _cofactors(size)
+    minors = np.zeros(s.shape)
+    for r, c, rest in pairs:
+        minors[:, r, c] = _pfaffian(entry, rest)
+    y_mat = (minors - minors.swapaxes(-1, -2)) * ((1.0 / pf)[:, None, None] * signs)
+    # with Z = Y Q: |Y P|^2 = <Z, Y> and tr((Y Q)^2) = <Z, Z^T>
+    z = y_mat @ q
+    terms = y_mat * (y_mat + 2.0 * (z + minus_t)) - z * z.swapaxes(-1, -2)
+    inv_norm2 = form.omega_inv_norm2 + terms.sum(axis=(-2, -1))
+    fro = np.sqrt((form.omega_norm2 + 2.0 * (b * b).sum(axis=(-2, -1))) * inv_norm2)
+    if not (DEGENERACY_RTOL * fro < 1.0).all():
+        raise ContactDegeneracyError(_SINGULAR)
+    return p_mat, y_mat, fro
+
+
+def _schur_solve(m: ContactManifold, alpha: Dual, grads: Dual, hval, tol: float) -> tuple:
+    """_contact_solve through the (k+1) x (k+1) Schur complement of K.
+
+    Write K's unknowns as (X, -y) with y's entries for the constraints,
+    then alpha, B = [G; alpha], P = B Omega^-1 and S = P B^T (see
+    _schur_factor).  The first block row Omega X + B^T y = dH^T gives
+    X = P0 + y P with P0 = -dH Omega^-1, as Omega^-1 B^T = -P^T, and the
+    second, B X^T = (0, ..., 0, H), then reads S^T y = (0, ..., 0, H) - B P0^T.
+    So the Reeb field, dH = 0 and H = 1, is y P with S^T y = e_last, and
+    y's last entry, -nu in K, is dH(R).  Along dp, dB comes from the rows,
+    dP = dB Omega^-1, dS = dP B^T + P dB^T and dP0 = -d(dH) Omega^-1; dy
+    solves the same S^T with the right-hand side's derivative minus
+    dS^T y, and dX = dP0 + y dP + dy P.  Returns (X, dH(R)) as
+    _contact_solve.
+    """
+    k, inv = len(m.constraints), m.form.omega_inv
+    b = np.concatenate((grads.val[:, :k], alpha.val[:, None]), axis=-2)
+    p_mat, y_mat, _ = _schur_factor(m.form, b)
+    if hval is None:
+        y = y_mat[..., -1]
+        x = (y[:, None] @ p_mat)[:, 0]
+    else:
+        p0 = -(grads.val[:, k, None] @ inv)[:, 0]
+        c = -(b @ p0[..., None])[..., 0]
+        c[:, -1] += hval.val
+        y = (y_mat @ c[..., None])[..., 0]
+        x = p0 + (y[:, None] @ p_mat)[:, 0]
+    if tol < math.inf:
+        first = (x[:, None] @ m.form.omega.T)[:, 0] + (y[:, None] @ b)[:, 0]
+        second = (b @ x[..., None])[..., 0]
+        if hval is None:
+            second[:, -1] -= 1.0
+        else:
+            first -= grads.val[:, k]
+            second[:, -1] -= hval.val
+        residual = max(np.max(np.abs(first)), np.max(np.abs(second)))
+        if residual > tol:
+            raise GeometryError(f"contact field solve residual {residual:.3e} exceeds {tol:.0e}")
+    if not grads.eps.size:
+        lead = grads.eps.shape[:-3]
+        return Dual(x, np.empty(lead + x.shape)), Dual(y[:, -1], np.empty(lead + y.shape[:1]))
+    db = np.concatenate((grads.eps[..., :k, :], alpha.eps[..., None, :]), axis=-2)
+    dp_mat = db @ inv
+    ds = dp_mat @ b.swapaxes(-1, -2) + p_mat @ db.swapaxes(-1, -2)
+    rhs = -(ds.swapaxes(-1, -2) @ y[..., None])[..., 0]
+    if hval is not None:
+        dp0 = -(grads.eps[..., k, None, :] @ inv)[..., 0, :]
+        rhs -= (db @ p0[..., None])[..., 0] + (b @ dp0[..., None])[..., 0]
+        rhs[..., -1] += hval.eps
+    dy = (y_mat @ rhs[..., None])[..., 0]
+    dx = (y[:, None] @ dp_mat)[..., 0, :] + (dy[..., None, :] @ p_mat)[..., 0, :]
+    if hval is not None:
+        dx += dp0
+    return Dual(x, dx), Dual(y[:, -1], dy[..., -1])
 
 
 def _contact_solve(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None,
@@ -565,20 +738,28 @@ def _contact_solve(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None,
     grads . X = 0: since d alpha(X, e_a) = -(Omega X)_a, X is h's contact
     field, i_X alpha = H and i_X d alpha = -dH + (i_R dH) alpha on TM, with
     nu = -dH(R).  K is antisymmetric, of even size d+1+k, and invertible
-    exactly where the form is contact.  It is inverted once (see
-    _checked_inv): value x0 = K^-1 r and derivative x1 = K^-1 (r_eps - K_eps x0).
-    Returns (X, dH(R)) as Duals of arrays (N, d) and (N,), dH(R) = 0
-    without h.  Raises ContactDegeneracyError where K is singular, and
-    GeometryError where an entry of K x0 - r exceeds tol.
+    exactly where the form is contact.  One pass gives K's rows (see
+    _ambient_rows).  Where _schur_route holds (k >= 1 and a mapped form
+    with invertible Omega) the field solves the (k+1) x (k+1) Schur
+    complement S = B Omega^-1 B^T of K (see _schur_solve).  Elsewhere K
+    is inverted once (see _checked_inv): value x0 = K^-1 r and derivative
+    x1 = K^-1 (r_eps - K_eps x0).  Returns (X, dH(R)) as Duals of arrays
+    (N, d) and (N,), dH(R) = 0 without h.  Raises ContactDegeneracyError
+    where K is singular, and GeometryError where an entry of K x - r
+    exceeds tol.
     """
+    if _schur_route(m):
+        alpha, _, grads, hval = _ambient_rows(m, p, dp, h)
+        return _schur_solve(m, alpha, grads, hval, tol)
     d = p.shape[1]
     system, rhs = _ambient_data(m, p, dp, h)
     inv = _checked_inv(system.val)
     x0 = inv @ rhs.val[..., None]
     x1 = inv @ (rhs.eps[..., None] - system.eps @ x0)
-    residual = np.max(np.abs(system.val @ x0 - rhs.val[..., None]))
-    if residual > tol:
-        raise GeometryError(f"contact field solve residual {residual:.3e} exceeds {tol:.0e}")
+    if tol < math.inf:
+        residual = np.max(np.abs(system.val @ x0 - rhs.val[..., None]))
+        if residual > tol:
+            raise GeometryError(f"contact field solve residual {residual:.3e} exceeds {tol:.0e}")
     return Dual(x0[:, :d, 0], x1[..., :d, 0]), Dual(-x0[:, d, 0], -x1[..., d, 0])
 
 

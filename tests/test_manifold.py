@@ -212,23 +212,27 @@ def test_hamiltonian_field_derivative_matches_finite_difference(golden):
     assert np.max(np.abs(dual - fd)) < 1e-5
 
 
-def test_each_call_builds_its_contact_system_once(golden, monkeypatch):
+def test_each_call_builds_its_contact_system_once(golden, torus, monkeypatch):
     from contactkit import manifold
     from contactkit.hamiltonian import bracket, bracket_hamiltonian
-    counts = {"frame": 0, "ambient": 0, "factor": 0}
-    tangent_frame, ambient_data = manifold.ContactManifold.tangent_frame, manifold._ambient_data
+    counts = {"frame": 0, "rows": 0, "ambient": 0, "factor": 0}
+    tangent_frame = manifold.ContactManifold.tangent_frame
+    ambient_rows, ambient_data = manifold._ambient_rows, manifold._ambient_data
 
     def counted_frame(self, pts):
         counts["frame"] += 1
         return tangent_frame(self, pts)
 
-    def counted_ambient(*args):
-        counts["ambient"] += 1
-        return ambient_data(*args)
+    def counted(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
 
     monkeypatch.setattr(manifold.ContactManifold, "tangent_frame", counted_frame)
-    monkeypatch.setattr(manifold, "_ambient_data", counted_ambient)
-    # a contact system is factorised by one inverse, and no SVD is taken
+    monkeypatch.setattr(manifold, "_ambient_rows", counted("rows", ambient_rows))
+    monkeypatch.setattr(manifold, "_ambient_data", counted("ambient", ambient_data))
+    # a contact system is factorised by one inverse at most, and no SVD is taken
     svds = []
     for name in ("svd", "pinv"):
         def counted_svd(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -241,27 +245,33 @@ def test_each_call_builds_its_contact_system_once(golden, monkeypatch):
         return _fn(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
-    h1 = hamiltonian(golden, lambda c: c[0] * c[1], name="h1")
-    h2 = hamiltonian(golden, lambda c: c[2] - c[3] * c[0], name="h2")
-    pts = sample(golden, 5)
-    vecs = golden.random_tangents(pts, np.random.default_rng(2))
 
     def builds(call):
-        counts.update(frame=0, ambient=0, factor=0)
+        counts.update(frame=0, rows=0, ambient=0, factor=0)
         call()
-        return counts["frame"], counts["ambient"], counts["factor"]
+        return counts["frame"], counts["rows"], counts["ambient"], counts["factor"]
 
-    assert builds(lambda: golden.reeb_field(pts)) == (0, 1, 1)
-    assert builds(lambda: golden.reeb_field(pts[0])) == (0, 1, 1)
-    assert builds(lambda: hamiltonian_to_field(h1, pts)) == (0, 1, 1)
-    assert builds(lambda: bracket(h1, h2, pts)) == (0, 1, 1)
-    # the residuals pair the solved field with d alpha over the frame
-    assert builds(lambda: golden.reeb_residuals(pts)) == (1, 1, 1)
-    assert builds(lambda: reeb_with_derivative(golden, pts, vecs)) == (0, 1, 1)
-    assert builds(lambda: hamiltonian_field_with_derivative(golden, h1.field, pts, vecs)) == (0, 1, 1)
-    nested = bracket_hamiltonian(h1, h2)
-    assert builds(lambda: nested.field.directional(pts, vecs)) == (0, 1, 1)
+    # the golden ellipsoid takes the Schur complement, in closed form: one
+    # pass over the rows, and no square system or inverse; the torus, a
+    # k = 0 chart, builds and inverts K
+    for m, once in ((golden, (0, 1, 0, 0)), (torus, (0, 1, 1, 1))):
+        h1 = hamiltonian(m, lambda c: c[0] * c[1], name="h1")
+        h2 = hamiltonian(m, lambda c: c[2] - c[1] * c[0], name="h2")
+        pts = sample(m, 5)
+        vecs = m.random_tangents(pts, np.random.default_rng(2))
+        assert builds(lambda: m.reeb_field(pts)) == once, m.name
+        assert builds(lambda: m.reeb_field(pts[0])) == once, m.name
+        assert builds(lambda: hamiltonian_to_field(h1, pts)) == once, m.name
+        assert builds(lambda: bracket(h1, h2, pts)) == once, m.name
+        # the residuals pair the solved field with d alpha over the frame
+        assert builds(lambda: m.reeb_residuals(pts)) == (1,) + once[1:], m.name
+        assert builds(lambda: reeb_with_derivative(m, pts, vecs)) == once, m.name
+        assert builds(lambda: hamiltonian_field_with_derivative(m, h1.field, pts, vecs)) == once
+        nested = bracket_hamiltonian(h1, h2)
+        assert builds(lambda: nested.field.directional(pts, vecs)) == once, m.name
     assert svds == []
+    pts = sample(golden, 5)
+    vecs = golden.random_tangents(pts, np.random.default_rng(2))
 
     # small systems are filled in place: no broadcast-and-stack copies
     assembled = []
@@ -270,8 +280,9 @@ def test_each_call_builds_its_contact_system_once(golden, monkeypatch):
             assembled.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np, name, counted_assembly)
-    golden.reeb_field(pts[0])
-    assert assembled == []
+    for m in (golden, torus):
+        m.reeb_field(pts[0] if m is golden else sample(torus, 1)[0])
+        assert assembled == [], m.name
     reeb_with_derivative(golden, pts, vecs)
     assert assembled == []
 
@@ -346,7 +357,9 @@ def test_each_derivative_is_one_pass(golden):
         assert form <= 2 and constraint <= 1
     form, constraint = passes(lambda: m.reeb_residuals(pts))
     assert form <= 4 and constraint <= 2
-    assert np.array_equal(m.reeb_field(pts), golden.reeb_field(pts))
+    # the unmapped form takes the square system, golden's mapped form the Schur complement
+    reeb = golden.reeb_field(pts)
+    assert np.max(np.abs(m.reeb_field(pts) - reeb)) <= 1e-15 * np.max(np.abs(reeb))
 
     # on S^3 the form and a unitary moment Hamiltonian carry maps, so the
     # ambient solve evaluates h once on plain points and never seeds the form
@@ -524,14 +537,18 @@ def test_reflection_frame_is_the_same_alone_and_in_a_batch():
 
 
 def test_defect_and_reeb_field_are_the_same_alone_and_in_a_batch():
+    # and the contact field of a Hamiltonian without a gradient map
     for m in _constrained_zoo() + (zoo.torus3(1),):
+        h = hamiltonian(m, lambda c: c[0] * c[1] - 0.5 * c[2] * c[2] + c[1], name="h")
         for seed in (7, 8, 9):
             pts = sample(m, 64, seed=seed)
             defect, reeb = m.contact_defect(pts), m.reeb_field(pts)
+            field = hamiltonian_to_field(h, pts)
             for i in range(len(pts)):
                 alone = m.contact_defect(pts[i])
                 assert isinstance(alone, float) and alone == defect[i], (m.name, seed, i)
                 assert np.array_equal(m.reeb_field(pts[i]), reeb[i]), (m.name, seed, i)
+                assert np.array_equal(hamiltonian_to_field(h, pts[i]), field[i]), (m.name, seed, i)
 
 
 def test_reeb_residuals_at_a_point_are_floats(sphere, golden, cotangent, torus):
@@ -685,6 +702,86 @@ def test_ambient_data_from_maps_matches_the_seeded_pass():
                 for x, y in ((part.val, theirs.val), (part.eps, theirs.eps)):
                     assert x.shape == y.shape, m.key()
                     assert np.max(np.abs(x - y)) <= 1e-15 * np.max(np.abs(y)), m.key()
+
+
+def _square_system(m):
+    """m with its form's coefficient map stripped: its fields solve the square system K."""
+    return replace(m, form=OneForm(m.form.coef_fn, m.ambient_dim, m.form.name))
+
+
+def test_schur_solve_matches_the_square_system():
+    from contactkit import manifold
+    from contactkit.hamiltonian import bracket
+    rng = np.random.default_rng(31)
+    for m in _constrained_zoo() + (zoo.standard_sphere(1).scaled(2.5),):
+        square = _square_system(m)
+        assert manifold._schur_route(m) and not manifold._schur_route(square), m.key()
+        pts = sample(m, 40, seed=31)
+        vecs = np.stack([m.random_tangents(pts, rng) for _ in range(3)])
+        poly = lambda c: c[0] * c[1] - 0.5 * c[2] * c[2] + c[3]
+        h1 = hamiltonian(m, poly, name="h1")
+        h2 = hamiltonian(m, lambda c: c[1] * c[3] + np.sin(c[0]), name="h2")
+        hs = [h1]
+        if m.name == "sphere":
+            action = unitary_action(m)
+            hs.append(moment_field(action, action.random_element(rng)))
+        # off the manifold too, where S has no entries that vanish on it
+        off = pts + 0.05 * rng.normal(size=pts.shape)
+        pairs = [(m.reeb_field(pts), square.reeb_field(pts)),
+                 (m.reeb_field(off), square.reeb_field(off)),
+                 (bracket(h1, h2, pts), bracket(replace(h1, manifold=square), h2, pts))]
+        for dp in (vecs[0], vecs):
+            pairs += zip(reeb_with_derivative(m, pts, dp), reeb_with_derivative(square, pts, dp))
+        for h in hs:
+            pairs.append((hamiltonian_to_field(h, pts),
+                          hamiltonian_to_field(replace(h, manifold=square), pts)))
+            for dp in (vecs[0], vecs):
+                pairs += zip(hamiltonian_field_with_derivative(m, h.field, pts, dp),
+                             hamiltonian_field_with_derivative(square, h.field, pts, dp))
+        for ours, theirs in pairs:
+            assert ours.shape == theirs.shape, m.key()
+            assert np.max(np.abs(ours - theirs)) <= 1e-14 * np.max(np.abs(theirs)), m.key()
+        # the Frobenius product of K from its blocks
+        b = np.concatenate([m.constraint_gradients(pts), m.form.coefficients(pts)[:, None]], axis=1)
+        fro = manifold._schur_factor(m.form, b)[2]
+        system = manifold._ambient_data(square, pts, np.empty((0,) + pts.shape))[0].val
+        direct = (np.linalg.norm(system, axis=(1, 2))
+                  * np.linalg.norm(np.linalg.inv(system), axis=(1, 2)))
+        assert np.all(np.abs(fro - direct) <= 1e-14 * direct), m.key()
+
+
+def test_schur_route_raises_where_the_form_is_not_contact():
+    # alpha + 2 dx_1 on S^3 keeps d alpha; its density changes sign, and at
+    # a zero found by bisection all four field calls raise on both routes
+    s3 = zoo.standard_sphere(1)
+    shift = np.array([2.0, 0.0, 0.0, 0.0])
+    form = OneForm(lambda c: [a + w for a, w in zip(s3.form.coef_fn(c), shift)], 4,
+                   "alpha + 2 dx1", coefficient_map=(s3.form.coefficient_map[0], shift))
+    m = replace(s3, form=form)
+    rng = np.random.default_rng(32)
+    pts = sample(m, 200, seed=32)
+    defect = m.contact_defect(pts)
+    lo, hi = pts[np.argmin(defect)], pts[np.argmax(defect)]
+    assert m.contact_defect(lo) < 0.0 < m.contact_defect(hi)
+    for _ in range(80):
+        mid = (lo + hi) / np.linalg.norm(lo + hi)
+        if m.contact_defect(mid) == 0.0 or np.array_equal(mid, lo) or np.array_equal(mid, hi):
+            break
+        lo, hi = (mid, hi) if m.contact_defect(mid) < 0.0 else (lo, mid)
+    generic = pts[np.abs(defect) > 0.1][:10]
+    for manifold in (m, _square_system(m)):
+        h = hamiltonian(manifold, lambda c: c[0] * c[1] + c[2], name="h")
+        calls = (lambda p, v: manifold.reeb_field(p),
+                 lambda p, v: reeb_with_derivative(manifold, p, v),
+                 lambda p, v: hamiltonian_to_field(h, p),
+                 lambda p, v: hamiltonian_field_with_derivative(manifold, h.field, p, v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                for bad in (mid, np.vstack([generic, mid])):
+                    with pytest.raises(ContactDegeneracyError):
+                        call(bad, m.random_tangents(bad, rng))
+                call(generic, m.random_tangents(generic, rng))
 
 
 def test_constraint_pass_values_are_the_seeded_values():
