@@ -167,12 +167,11 @@ class OneForm:
     a vector is the coordinate dot product.  coefficient_map, optional, is
     (W, w0) with coefficients x @ W + w0, as ScalarField.gradient_map.
 
-    A mapped form's d alpha is the constant Omega = W - W^T, kept as
-    omega with omega_norm2 = |Omega|_F^2.  Where Omega passes
-    manifold._checked_inv, omega_inv, omega_pfaffian and omega_inv_norm2
-    hold Omega^-1, Pf(Omega) and |Omega^-1|_F^2; they are None otherwise,
-    and all of them are None without a map.  The ambient Schur solve and
-    density read them (see manifold._schur_factor).
+    A mapped form's d alpha is the constant Omega = W - W^T.  Where Omega
+    passes manifold._checked_inv, omega_inv and omega_pfaffian hold Omega^-1
+    and Pf(Omega), taken once here; they are None otherwise and without a
+    map.  The ambient Schur solve and density read them (see
+    manifold._schur_route).
     """
 
     def __init__(self, coef_fn: Callable[[Sequence], Sequence], dim: int, name: str = "",
@@ -181,21 +180,11 @@ class OneForm:
         self.dim = dim
         self.name = name
         self.coefficient_map = coefficient_map
-        self.omega = self.omega_norm2 = None
-        self.omega_inv = self.omega_pfaffian = self.omega_inv_norm2 = None
-        if coefficient_map is None:
-            return
-        # imported here: manifold builds on this module
-        from .manifold import ContactDegeneracyError, _checked_inv, _pfaffian
-        self.omega = coefficient_map[0] - coefficient_map[0].T
-        self.omega_norm2 = float(np.sum(self.omega * self.omega))
-        try:
-            self.omega_inv = _checked_inv(self.omega)
-        except ContactDegeneracyError:
-            return
-        entries = self.omega.tolist()
-        self.omega_pfaffian = _pfaffian(lambda r, c: entries[r][c], tuple(range(dim)))
-        self.omega_inv_norm2 = float(np.sum(self.omega_inv * self.omega_inv))
+        self.omega_inv = self.omega_pfaffian = None
+        if coefficient_map is not None:
+            # imported here: manifold builds on this module
+            from .manifold import _omega_factors
+            self.omega_inv, self.omega_pfaffian = _omega_factors(coefficient_map[0])
 
     def coefficients(self, pts):
         coords, scalar = split_point(pts)

@@ -91,6 +91,19 @@ def _checked_inv(system: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _omega_factors(w: np.ndarray) -> tuple:
+    """(Omega^-1, Pf(Omega)) for the constant d alpha Omega = W - W^T of a
+    coefficient_map (W, w0), or (None, None) where _checked_inv rejects Omega.
+    OneForm keeps them for the ambient Schur solve and density."""
+    omega = w - w.T
+    try:
+        inv = _checked_inv(omega)
+    except ContactDegeneracyError:
+        return None, None
+    entries = omega.tolist()
+    return inv, _pfaffian(lambda r, c: entries[r][c], tuple(range(len(entries))))
+
+
 def _dot(u, v):
     """sum_a u[a] * v[a] over the leading axis of the product u * v.
 
@@ -114,41 +127,12 @@ def _dot(u, v):
 def _gradient_volume(grads: np.ndarray) -> np.ndarray:
     """sqrt det(G G^T), the product of the singular values, of gradient planes
     G (k, d, N), k >= 1: the norm for k = 1.  Raises DegenerateFrameError
-    where sigma_min <= 1e-10 sigma_max, for k = 1 where the gradient is zero.
-
-    For k > 1 the Gram determinant decides first: det / tr^k <=
-    (sigma_min / sigma_max)^2 for G G^T, so a point with det / tr^k > 1e-20
-    has sigma_min > 1e-10 sigma_max and its volume is sqrt det.  Only the
-    other points take np.linalg.svd, for the test and the volume.
-    """
-    k, message = len(grads), "constraint gradients are linearly dependent"
-    if k == 1:
-        norm = np.sqrt(_dot(grads[0], grads[0]))
-        if np.any(norm <= 1e-10 * norm):
-            raise DegenerateFrameError(message)
-        return norm
-    gram = [[_dot(grads[i], grads[j]) for j in range(k)] for i in range(k)]
-    det, trace = _det(gram, tuple(range(k)), tuple(range(k))), sum(gram[i][i] for i in range(k))
-    doubtful = ~(det > 1e-20 * trace ** k)
-    volume = np.sqrt(np.where(doubtful, 0.0, det))
-    if np.any(doubtful):
-        sv = np.linalg.svd(grads[..., doubtful].transpose(2, 0, 1), compute_uv=False)
-        if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
-            raise DegenerateFrameError(message)
-        volume[doubtful] = math.prod(sv.T)
-    return volume
-
-
-def _det(entries: list, rows: tuple, cols: tuple):
-    """The determinant of the minor rows x cols of a square matrix given by
-    its entries, numbers or planes, by cofactor expansion along its first row."""
-    if len(rows) == 1:
-        return entries[rows[0]][cols[0]]
-    total = 0.0
-    for j, c in enumerate(cols):
-        term = entries[rows[0]][c] * _det(entries, rows[1:], cols[:j] + cols[j + 1:])
-        total = total - term if j % 2 else total + term
-    return total
+    where sigma_min <= 1e-10 sigma_max, for k = 1 where the gradient is zero."""
+    sv = (np.sqrt(_dot(grads[0], grads[0]))[:, None] if len(grads) == 1
+          else np.linalg.svd(grads.transpose(2, 0, 1), compute_uv=False))
+    if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
+        raise DegenerateFrameError("constraint gradients are linearly dependent")
+    return math.prod(sv.T)
 
 
 def _normal_part(grads: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -393,6 +377,10 @@ class ContactManifold:
                 row[...] = _affine_planes(c.gradient_map, x)
         rows[k] = _affine_planes(form_map, x)
         volume = _gradient_volume(rows[:k])
+        # P = B Omega^-1 and S = P B^T as in _schur_factor, but on planes: the
+        # whole-plane multiply-adds give the same bits alone as in a batch, and
+        # at quadrature sizes they beat the stacked products the few-point field
+        # solve uses (S^3 at 2^16 points: about 7 against 95 ms)
         solved = [_affine_planes((inv.T, np.zeros(len(inv))), b) for b in rows[1:]]
         schur = {(r, c): _dot(rows[r], s) for c, s in enumerate(solved, 1) for r in range(c)}
         sign = (-1) ** (k * (k + 1) // 2) * self.frame_sign * math.factorial(self.n)
@@ -529,7 +517,7 @@ def _ambient_rows(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None) -> 
     (see _columns), the d unit directions in front.  Returns (alpha, jac,
     grads, hval), Duals of arrays whose eps part is the dp-derivative:
     alpha (N, d); jac (N, d, d) with jac[b, a] = d_a w_b, or None for a
-    mapped form, whose d alpha is the constant form.omega; grads (N, k, d),
+    mapped form, whose d alpha is the constant W - W^T; grads (N, k, d),
     with h's gradient as a last row (N, k+1, d); hval (N,), None without h.
     Where nothing is mapped all four are views of the seeded pass.
     """
@@ -606,7 +594,9 @@ def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None) -> 
         s[..., d + 1:, :d] = cons
         return s
 
-    system = Dual(assemble(alpha.val, None if jac is None else jac.val, grads.val, m.form.omega),
+    form_map = m.form.coefficient_map
+    omega = None if form_map is None else form_map[0] - form_map[0].T
+    system = Dual(assemble(alpha.val, None if jac is None else jac.val, grads.val, omega),
                   assemble(alpha.eps, None if jac is None else jac.eps, grads.eps, None))
     rhs = Dual(np.zeros(alpha.val.shape[:-1] + (size,)), np.zeros(alpha.eps.shape[:-1] + (size,)))
     if hval is None:
@@ -629,7 +619,8 @@ def _cofactors(size: int) -> tuple:
 
 def _schur_factor(form: OneForm, b: np.ndarray) -> tuple:
     """P = B Omega^-1, Y = S^-T for S = P B^T, and |K|_F |K^-1|_F, for rows
-    B = [G; alpha] (N, k+1, d) of a form with omega_inv (see _schur_solve).
+    B = [G; alpha] (N, k+1, d) of a form with omega_inv (see _schur_solve);
+    ContactManifold._ambient_density forms P and S on planes instead.
 
     S is antisymmetric of even size k+1; Y = -S^-1 is its Pfaffian
     adjugate, Y[r, c] = (-1)^(r+c+1) Pf(S without rows and columns r, c)
@@ -665,8 +656,10 @@ def _schur_factor(form: OneForm, b: np.ndarray) -> tuple:
     # with Z = Y Q: |Y P|^2 = <Z, Y> and tr((Y Q)^2) = <Z, Z^T>
     z = y_mat @ q
     terms = y_mat * (y_mat + 2.0 * (z + minus_t)) - z * z.swapaxes(-1, -2)
-    inv_norm2 = form.omega_inv_norm2 + terms.sum(axis=(-2, -1))
-    fro = np.sqrt((form.omega_norm2 + 2.0 * (b * b).sum(axis=(-2, -1))) * inv_norm2)
+    w = form.coefficient_map[0]
+    omega = w - w.T
+    inv_norm2 = np.vdot(inv, inv) + terms.sum(axis=(-2, -1))
+    fro = np.sqrt((np.vdot(omega, omega) + 2.0 * (b * b).sum(axis=(-2, -1))) * inv_norm2)
     if not (DEGENERACY_RTOL * fro < 1.0).all():
         raise ContactDegeneracyError(_SINGULAR)
     return p_mat, y_mat, fro
@@ -700,7 +693,8 @@ def _schur_solve(m: ContactManifold, alpha: Dual, grads: Dual, hval, tol: float)
         y = (y_mat @ c[..., None])[..., 0]
         x = p0 + (y[:, None] @ p_mat)[:, 0]
     if tol < math.inf:
-        first = (x[:, None] @ m.form.omega.T)[:, 0] + (y[:, None] @ b)[:, 0]
+        w = m.form.coefficient_map[0]
+        first = (x[:, None] @ (w.T - w))[:, 0] + (y[:, None] @ b)[:, 0]
         second = (b @ x[..., None])[..., 0]
         if hval is None:
             second[:, -1] -= 1.0

@@ -569,6 +569,10 @@ def test_reflection_frame_rank_loss_raises_without_warning(sphere, golden, cotan
              # p = 0 kills the third gradient; p = q makes (p, q) the mean of the others
              (cotangent, np.concatenate([q, np.zeros(3)])),
              (cotangent, np.concatenate([q, q]))]
+    # p = 0.7 q at generic unit q: the same rank loss with inexact Gram entries
+    for u in np.random.default_rng(4).normal(size=(4, 3)):
+        u /= np.linalg.norm(u)
+        cases.append((cotangent, np.concatenate([u, 0.7 * u])))
     for m, bad in cases:
         batch = np.vstack([sample(m, 3, seed=9), bad])
         with warnings.catch_warnings():
