@@ -104,6 +104,49 @@ def test_each_accepted_step_evaluates_the_constraints_twice(golden):
     assert len(calls) <= 14
 
 
+def counting_field(m):
+    """m's solved Reeb field wrapped to count its calls; returns (field, calls)."""
+    calls = []
+
+    def counted(pts):
+        calls.append(1)
+        return m.reeb_field(pts)
+
+    return counted, calls
+
+
+def test_flow_costs_one_field_call_plus_six_per_attempted_step(golden, sphere,
+                                                                 cotangent, torus):
+    # the first stage is evaluated once: an accepted step hands on its
+    # seventh stage and a rejected one keeps the stage it started from
+    rejected = 0
+    for m in (golden, sphere, cotangent, torus):
+        field, calls = counting_field(m)
+        start = sample(m, 1)[0]
+        traj = integrate_flow(m, field, start, 2.0)
+        assert len(calls) == 1 + 6 * (traj.steps + traj.rejected), m.name
+        rejected += traj.rejected
+        calls.clear()
+        integrate_flow(m, field, start, 0.0)
+        assert calls == [], m.name
+    assert rejected > 0
+
+
+def test_long_flows_keep_closed_form_accuracy(golden, cotangent):
+    # errors accumulated over T = 10 by the stage taken before projection;
+    # the bounds are about 4x the errors measured with the stage taken
+    # after projection (golden 3.25e-8, cotangent 2.73e-9)
+    start = sample(golden, 1)[0]
+    traj = integrate_flow(golden, None, start, 10.0)
+    exact = zoo.weighted_flow_closed_form(golden, start, traj.times)
+    assert np.max(np.abs(traj.points - exact)) < 1.3e-7
+    start = sample(cotangent, 1)[0]
+    traj = integrate_flow(cotangent, None, start, 10.0)
+    q, p, t = start[:3], start[3:], traj.times[:, None]
+    exact = np.hstack([q * np.cos(t) + p * np.sin(t), p * np.cos(t) - q * np.sin(t)])
+    assert np.max(np.abs(traj.points - exact)) < 1.1e-8
+
+
 def test_dormand_prince_tableau():
     a = flows._DP_A
     assert a.shape == (7, 7)
@@ -265,14 +308,9 @@ def golden_return_orbit(golden, field):
     return start, integrate_flow(golden, field, start, 0.5)
 
 
-def test_min_return_search_costs_one_reintegration_per_candidate(golden, monkeypatch):
-    calls = []
-
-    def counted(pts):
-        calls.append(1)
-        return golden.reeb_field(pts)
-
-    _, traj = golden_return_orbit(golden, counted)
+def test_min_return_search_costs_seven_field_calls_per_candidate(golden, monkeypatch):
+    field, calls = counting_field(golden)
+    _, traj = golden_return_orbit(golden, field)
     candidates = []
     refine = flows._refine_return
 
@@ -280,12 +318,17 @@ def test_min_return_search_costs_one_reintegration_per_candidate(golden, monkeyp
         candidates.append(args[1])
         return refine(*args)
 
+    def no_flow_points(*args, **kwargs):
+        raise AssertionError("a closest return re-integrated the flow")
+
     monkeypatch.setattr(flows, "_refine_return", counted_refine)
+    monkeypatch.setattr(flows, "flow_points", no_flow_points)
     calls.clear()
     min_return_distance(traj, 0.4)
-    # at most two rebuilt DP5(4) steps and one 64-step RK4 re-integration each
+    # one batched rebuild of at most two DP5(4) steps each, and the
+    # distance read from the same continuous extension
     assert candidates
-    assert len(calls) <= len(candidates) * (2 * 7 + 4 * 64)
+    assert len(calls) <= 7 * len(candidates)
 
 
 def test_min_return_at_the_window_edge_matches_closed_form(golden):
