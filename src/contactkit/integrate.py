@@ -13,9 +13,10 @@ the sample standard deviation over sqrt(N) times the measure, a
 conservative figure for quasi-random points.
 
 Evaluation is chunked, optionally across a thread pool
-(``CONTACTKIT_THREADS``); partial sums are combined in index order with
-compensated summation, so results are bit-identical for any thread
-count.
+(``CONTACTKIT_THREADS``).  Each chunk's sums are kept exact, as an
+integer times a power of two, and the total is rounded once, which is
+what ``math.fsum`` of all the values returns.  Results are therefore
+bit-identical for any chunk size and any thread count.
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ import numpy as np
 from .fields import ScalarField, constant_field
 from .manifold import ContactManifold, GeometryError
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
+# frexp mantissas split as m * 2**27 = hi + lo * 2**-26 with integers
+# |hi| <= 2**27 and 0 <= lo < 2**26; per-exponent sums of fewer than
+# 2**26 of them stay below 2**53, so np.bincount adds them exactly.
+_HI_BITS, _LO_BITS = 27, 26
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,8 @@ def apply_rule(integrand: Callable, rule: tuple, seed: int,
                threads: Optional[int] = None) -> IntegralResult:
     """scale * sum(integrand * weight) over the nodes of a rule
     (points, weights or None, scale, sampled); a sampled rule's error is
-    the iid standard error, a deterministic rule's is zero."""
+    the iid standard error, a deterministic rule's is zero.  The sums
+    of the values and of their squares are exact sums rounded once."""
     pts, weights, scale, sampled = rule
     total, total_sq, count = _eval_chunks(integrand, pts, weights, threads)
     if not sampled:
@@ -97,7 +103,8 @@ def apply_rule(integrand: Callable, rule: tuple, seed: int,
 
 def _eval_chunks(integrand: Callable, pts: np.ndarray, weights,
                  threads: Optional[int]):
-    """Ordered per-chunk compensated sums of integrand * weight."""
+    """Sums of integrand * weight and of its square over _CHUNK-point
+    chunks: exact per chunk, added exactly, rounded once at the end."""
     nthreads = default_threads() if threads is None else max(1, int(threads))
     chunks = [slice(i, min(i + _CHUNK, pts.shape[0])) for i in range(0, pts.shape[0], _CHUNK)]
 
@@ -105,17 +112,74 @@ def _eval_chunks(integrand: Callable, pts: np.ndarray, weights,
         vals = integrand(pts[sl])
         if weights is not None:
             vals = vals * weights[sl]
-        return math.fsum(vals), math.fsum(vals * vals), vals.size
+        return _exact_sum(vals), _exact_sum(vals * vals), vals.size
 
     if nthreads == 1 or len(chunks) == 1:
         stats = [work(sl) for sl in chunks]
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             stats = list(pool.map(work, chunks))
-    total = math.fsum(s[0] for s in stats)
-    total_sq = math.fsum(s[1] for s in stats)
+    total = _round_sums([s[0] for s in stats])
+    total_sq = _round_sums([s[1] for s in stats])
     count = sum(s[2] for s in stats)
     return total, total_sq, count
+
+
+def _exact_sum(vals: np.ndarray):
+    """The exact sum of a float array as (n, s), meaning n * 2**s.
+
+    Each value is m * 2**e by frexp; the integer halves of m * 2**27 are
+    summed per exponent by np.bincount, and the bins are gathered into
+    one Python integer.  An array holding nan or inf gives instead its
+    non-finite values, for _round_sums to combine (see _nonfinite_sum).
+    """
+    finite = np.isfinite(vals)
+    if not finite.all():
+        return vals[~finite]
+    m, e = np.frexp(vals)
+    m = m * float(1 << _HI_BITS)
+    hi = np.floor(m)
+    lo = (m - hi) * float(1 << _LO_BITS)
+    e_min = int(e.min())
+    k = e - e_min
+    his = np.bincount(k, weights=hi).astype(np.int64).tolist()
+    los = np.bincount(k, weights=lo).astype(np.int64).tolist()
+    n = 0
+    for i, (h, l) in enumerate(zip(his, los)):
+        if h or l:
+            n += ((h << _LO_BITS) + l) << i
+    return n, e_min - _HI_BITS - _LO_BITS
+
+
+def _round_sums(parts) -> float:
+    """The exact total of _exact_sum parts, correctly rounded once.
+
+    As with math.fsum, an exact zero is +0.0, a total beyond the double
+    range raises OverflowError, and any non-finite values decide the
+    total by _nonfinite_sum.  Unlike math.fsum, which raises when some
+    prefix of the values overflows, only the total decides.
+    """
+    special = [p for p in parts if isinstance(p, np.ndarray)]
+    if special:
+        return _nonfinite_sum(np.concatenate(special))
+    s = min(p[1] for p in parts)
+    n = sum(p[0] << (p[1] - s) for p in parts)
+    # int -> float and int / int are correctly rounded in CPython
+    return float(n << s) if s >= 0 else n / (1 << -s)
+
+
+def _nonfinite_sum(vals: np.ndarray) -> float:
+    """math.fsum's rule for an array holding nan or inf: +inf with -inf
+    is a ValueError, otherwise any nan gives nan, otherwise the infinity.
+    A chunk whose density failed to evaluate (contact_defect maps such
+    points to nan) thus makes the integral nan, as it did under fsum."""
+    pos = bool(np.any(vals == np.inf))
+    neg = bool(np.any(vals == -np.inf))
+    if pos and neg:
+        raise ValueError("-inf + inf in exact sum")
+    if np.isnan(vals).any():
+        return math.nan
+    return math.inf if pos else -math.inf
 
 
 def contact_volume(m: ContactManifold, budget: int = 1 << 17, seed: int = 0,

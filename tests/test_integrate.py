@@ -7,6 +7,7 @@ import pytest
 
 from contactkit import zoo
 from contactkit.fields import ScalarField, constant_field
+import contactkit.integrate as engine
 from contactkit.integrate import contact_volume, default_threads, integrate
 
 
@@ -83,12 +84,99 @@ def test_sampling_deterministic_per_seed():
 
 
 def test_thread_count_does_not_change_sums():
+    # 2^16 points are several chunks, so threads > 1 runs the pool
     m = zoo.weighted_sphere((1.0, 1.3))
-    f = ScalarField(lambda c: c[0] * c[0] - c[2] * c[3], 4)
-    one = integrate(m, f, budget=1 << 14, threads=1)
-    four = integrate(m, f, budget=1 << 14, threads=4)
+    blocks = []
+
+    def fn(c):
+        blocks.append(len(c[0]))
+        return c[0] * c[0] - c[2] * c[3]
+
+    f = ScalarField(fn, 4)
+    one = integrate(m, f, budget=1 << 16, threads=1)
+    blocks.clear()
+    four = integrate(m, f, budget=1 << 16, threads=4)
+    assert len(blocks) > 1 and sum(blocks) == 1 << 16
     assert one.value == four.value
     assert one.std_error == four.std_error
+
+
+def test_chunk_size_does_not_change_sums(monkeypatch):
+    m = zoo.weighted_sphere((1.0, 1.7))
+    f = ScalarField(lambda c: c[0] * c[1] + c[3] ** 3, 4)
+    ref = integrate(m, f, budget=1 << 15, seed=2)
+    for chunk in (1 << 8, 1 << 11):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        res = integrate(m, f, budget=1 << 15, seed=2)
+        assert res.value == ref.value, chunk
+        assert res.std_error == ref.std_error, chunk
+
+
+def _bits(x):
+    return "nan" if math.isnan(x) else x.hex()
+
+
+def _chunked_sum(x, pieces):
+    chunks = np.array_split(x, min(pieces, x.size))
+    return engine._round_sums([engine._exact_sum(c) for c in chunks])
+
+
+def _parity_arrays():
+    rng = np.random.default_rng(20)
+    tiny = 5e-324
+    big = np.finfo(float).max
+    arrays = [
+        np.array([-0.0]), np.array([-0.0, -0.0]), np.array([0.0, -0.0]),
+        np.array([1.0, -1.0]), np.array([-1.0, 1.0, -0.0]), np.array([tiny, -tiny]),
+        # halfway between neighbours: ties to even, broken by a far tail
+        np.array([1.0, 2.0 ** -53]), np.array([1.0 + 2.0 ** -52, 2.0 ** -53]),
+        np.array([1.0, 2.0 ** -53, 2.0 ** -200]), np.array([1.0, 2.0 ** -53, -2.0 ** -200]),
+        np.array([big, -big, 1.0]), np.array([-big, 2.0 ** 970, -2.0 ** 969]),
+        np.array([tiny] * 7), np.array([2.0 ** -1022, -tiny]),
+        np.array([3.0, np.nan]), np.array([np.inf, 1.0]), np.array([-np.inf, 1.0]),
+        np.array([np.inf, np.inf, np.nan]), np.array([-np.inf, np.nan, 2.0]),
+    ]
+    for _ in range(60):
+        n = int(rng.integers(1, 400))
+        # exponents over the whole double range, subnormals included
+        arrays.append(np.ldexp(rng.standard_normal(n), rng.integers(-1074, 1000, n)))
+        arrays.append(np.ldexp(rng.standard_normal(n), rng.integers(-1074, -1010, n)))
+        # cancellation to an exact zero, or to a last bit
+        x = np.ldexp(rng.standard_normal(n), rng.integers(-60, 60, n))
+        y = np.concatenate([x, -x])
+        rng.shuffle(y)
+        arrays.append(y)
+        arrays.append(np.append(y, np.ldexp(1.0, int(rng.integers(-1074, 0)))))
+        # integers times powers of two: many exact ties
+        arrays.append(np.ldexp(rng.integers(-(1 << 20), 1 << 20, n).astype(float),
+                               rng.integers(-1100, 980, n)))
+    return arrays
+
+
+def test_exact_chunk_sum_matches_fsum_bitwise():
+    for x in _parity_arrays():
+        want = _bits(math.fsum(x))
+        for pieces in (1, 3):
+            assert _bits(_chunked_sum(x, pieces)) == want, (x, pieces)
+
+
+def test_exact_chunk_sum_raises_like_fsum():
+    big = np.finfo(float).max
+    for x, err in ((np.array([np.inf, 1.0, -np.inf]), ValueError),
+                   (np.array([np.nan, np.inf, -np.inf]), ValueError),
+                   (np.array([big, big]), OverflowError),
+                   (np.array([-big, -big / 2.0, 1.0]), OverflowError)):
+        with pytest.raises(err):
+            math.fsum(x)
+        for pieces in (1, 2):
+            with pytest.raises(err):
+                _chunked_sum(x, pieces)
+    # math.fsum also raises where only a prefix overflows; the exact
+    # total is returned instead
+    x = np.array([big, 2.0 ** 970, -2.0 ** 970])
+    with pytest.raises(OverflowError):
+        math.fsum(x)
+    assert _chunked_sum(x, 1) == big
 
 
 def test_budget_rounds_to_power_of_two():
