@@ -32,6 +32,7 @@ import numpy as np
 from .fields import ScalarField, constant_field
 from .manifold import ContactManifold, GeometryError
 
+# 2^14 points keep the density's per-component planes at 128 KB
 _CHUNK = 1 << 14
 # frexp mantissas split as m * 2**27 = hi + lo * 2**-26 with integers
 # |hi| <= 2**27 and 0 <= lo < 2**26; per-exponent sums of fewer than
@@ -128,10 +129,11 @@ def _eval_chunks(integrand: Callable, pts: np.ndarray, weights,
 def _exact_sum(vals: np.ndarray):
     """The exact sum of a float array as (n, s), meaning n * 2**s.
 
-    Each value is m * 2**e by frexp; the integer halves of m * 2**27 are
-    summed per exponent by np.bincount, and the bins are gathered into
-    one Python integer.  An array holding nan or inf gives instead its
-    non-finite values, for _round_sums to combine (see _nonfinite_sum).
+    Each value is m * 2**e by frexp; the integer part of m * 2**27 and
+    its 26 fraction bits are summed per exponent by np.bincount, and the
+    bins are gathered into one Python integer.  An array holding nan or
+    inf gives instead its non-finite values, for _round_sums to combine
+    (see _nonfinite_sum).
     """
     finite = np.isfinite(vals)
     if not finite.all():
@@ -145,9 +147,9 @@ def _exact_sum(vals: np.ndarray):
     his = np.bincount(k, weights=hi).astype(np.int64).tolist()
     los = np.bincount(k, weights=lo).astype(np.int64).tolist()
     n = 0
-    for i, (h, l) in enumerate(zip(his, los)):
-        if h or l:
-            n += ((h << _LO_BITS) + l) << i
+    for i, (hi_sum, lo_sum) in enumerate(zip(his, los)):
+        if hi_sum or lo_sum:
+            n += ((hi_sum << _LO_BITS) + lo_sum) << i
     return n, e_min - _HI_BITS - _LO_BITS
 
 
