@@ -71,8 +71,11 @@ class ScalarField:
     """Real function of ambient coordinates with exact derivatives.
 
     gradient_map, optional, is (G, g0) with grad f(x) = x @ G + g0, G (d, d)
-    and g0 (d,), for a quadratic f: constraint passes and the ambient
-    contact solve read such gradients from it instead of seeding them.
+    symmetric and g0 (d,), for a quadratic f: constraint passes and the
+    ambient contact solve read such gradients from it instead of seeding
+    them.  It gives the value too, f(x) = x . (grad f(x) + g0) / 2 + f(0):
+    a manifold takes f(0) once, by one call of fn at the origin when it is
+    built, and then reads its mapped constraints' values from the maps.
     """
 
     def __init__(self, fn: Callable[[Sequence], object], dim: int, name: str = "",

@@ -142,17 +142,19 @@ def _field_function(m: ContactManifold, field) -> Callable:
 def _project_step(m: ContactManifold, y: np.ndarray, drift: float) -> tuple:
     """Project an accepted step back onto the constraint set.
 
-    One constraint pass gives the values and Jacobian at y.  The largest
-    value is the pre-projection drift, checked before any Newton update:
-    a step that left the manifold by more than _MAX_PRE_PROJECTION_DRIFT
-    raises IntegrationError.  Newton then starts from the same pass and
-    drift, as in ContactManifold.project.
+    One constraint pass gives the values and Jacobian at y, from the
+    constraints' gradient maps where all have one (see
+    ContactManifold._constraint_pass).  The largest value is the
+    pre-projection drift, checked before any Newton update: a step that
+    left the manifold by more than _MAX_PRE_PROJECTION_DRIFT raises
+    IntegrationError.  Newton then starts from the same pass and drift,
+    as in ContactManifold.project.
     """
     if not m.constraints:
         return y, drift
     q = np.atleast_2d(y).copy()
     vals, jac = m._constraint_pass(q)
-    res = float(np.max(np.abs(vals)))
+    res = float(np.abs(vals).max())
     if res > _MAX_PRE_PROJECTION_DRIFT:
         raise IntegrationError(
             f"constraint drift {res:.3e} before projection exceeds "

@@ -27,6 +27,15 @@ planes without a copy.  Sums over a component axis run in a fixed order
 of whole-plane additions (see _dot, _affine_planes), so a point gives
 the same bits alone as in a batch.
 
+Constraints.  A constraint with a gradient_map (G, g0) is the quadratic
+c(x) = x . (grad c(x) + g0) / 2 + c(0), grad c(x) = x @ G + g0, with G
+symmetric.  Each manifold stacks the maps of such constraints once, with
+c(0) from one call of each constraint function at the origin (see
+ContactManifold.__post_init__), and reads their values and gradients
+from one product with the stack (see _constraint_pass): where every
+constraint has a map, projection calls no constraint function.  Other
+constraints are evaluated plainly for values and seeded for gradients.
+
 Contact fields.  Every Reeb and Hamiltonian field, with or without a
 derivative, solves one square ambient system K with multipliers for alpha
 and the constraints (see _contact_solve).  One pass builds its rows,
@@ -137,8 +146,12 @@ def _gradient_volume(grads: np.ndarray) -> np.ndarray:
 
 def _normal_part(grads: np.ndarray, b: np.ndarray) -> np.ndarray:
     """G^T (G G^T)^{-1} b for gradients G (N, k, d) and b (N, k): the vector
-    in the span of the gradients whose pairings with them are b."""
+    in the span of the gradients whose pairings with them are b.  For k = 1
+    it divides by the Gram entry, the bits np.linalg.solve gives for a 1 x 1
+    system without its per-call checks."""
     gram = np.einsum("nia,nja->nij", grads, grads)
+    if grads.shape[1] == 1:
+        return grads[:, 0] * (b / gram[:, 0])
     return np.einsum("ni,nia->na", np.linalg.solve(gram, b[..., None])[..., 0], grads)
 
 
@@ -156,6 +169,28 @@ class ContactManifold:
     params: dict = field(default_factory=dict)
     reference_sampler: Optional[Callable] = None
     test_sampler: Optional[Callable] = None
+    # (mapped, A, a0, c0): the indices of the constraints with a gradient_map,
+    # their maps side by side, A (d, m d) and a0 (m d,), and their values
+    # c0 (m,) at the origin; set by __post_init__
+    _level_maps: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Stack the constraints' gradient maps once, taking each mapped
+        constraint's value at the origin by one call of its fn.  A quadratic's
+        Hessian is symmetric, so a map (G, g0) with G != G^T is a ValueError."""
+        d = self.ambient_dim
+        mapped = [i for i, c in enumerate(self.constraints) if c.gradient_map is not None]
+        maps = [self.constraints[i].gradient_map for i in mapped]
+        for i, (mat, _) in zip(mapped, maps):
+            if not np.array_equal(mat, mat.T):
+                raise ValueError(f"constraint {self.constraints[i].name!r} has a gradient "
+                                 "map with a non-symmetric matrix")
+        origin = np.zeros(d)
+        object.__setattr__(self, "_level_maps", (
+            mapped,
+            np.hstack([np.zeros((d, 0))] + [g for g, _ in maps]),
+            np.concatenate([np.zeros(0)] + [g0 for _, g0 in maps]),
+            np.array([self.constraints[i](origin) for i in mapped], dtype=float)))
 
     @property
     def dim(self) -> int:
@@ -187,32 +222,61 @@ class ContactManifold:
     # constraints
 
     def constraint_values(self, pts) -> np.ndarray:
+        """Constraint values (N, k): a mapped constraint's from its map (see
+        _mapped_values), the others' from one plain evaluation."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        coords = list(pts.T)
         vals = np.empty((pts.shape[0], len(self.constraints)))
+        mapped = self._level_maps[0]
+        if mapped:
+            vals[:, mapped] = self._mapped_values(pts, self._mapped_gradients(pts))
+        coords = list(pts.T)
         for i, c in enumerate(self.constraints):
-            vals[:, i] = c.fn(coords)
+            if c.gradient_map is None:
+                vals[:, i] = c.fn(coords)
         return vals
 
     def constraint_gradients(self, pts) -> np.ndarray:
-        """Constraint gradients (N, k, d): x @ G + g0 for a constraint with a
-        gradient map, one seeded pass shared by the others."""
+        """Constraint gradients (N, k, d): a mapped constraint's from its map
+        (see _mapped_gradients), one seeded pass shared by the others."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         grads = np.empty((pts.shape[0], len(self.constraints), self.ambient_dim))
+        mapped = self._level_maps[0]
+        if mapped:
+            grads[:, mapped] = self._mapped_gradients(pts)
         coords = None
         for i, c in enumerate(self.constraints):
             if c.gradient_map is not None:
-                _affine(c.gradient_map, pts, out=grads[:, i, :])
                 continue
             if coords is None:
                 coords = seed(list(pts.T))
             grads[:, i, :] = np.transpose(epsilon(c.fn(coords)))
         return grads
 
+    def _mapped_gradients(self, pts: np.ndarray) -> np.ndarray:
+        """Gradients (N, m, d) of the m mapped constraints at points (N, d):
+        one x @ A + a0 with the stacked maps."""
+        _, mat, shift, _ = self._level_maps
+        return np.add(pts @ mat, shift).reshape(pts.shape[0], -1, self.ambient_dim)
+
+    def _mapped_values(self, pts: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """Values (N, m) of the mapped constraints at points (N, d) from their
+        gradients there: a map (G, g0) with symmetric G belongs to the
+        quadratic c(x) = x . (grad c(x) + g0) / 2 + c(0).  The products are
+        summed by _dot, so a point gives the same bits alone as in a batch."""
+        _, _, shift, origin = self._level_maps
+        planes = (grads + shift.reshape(-1, self.ambient_dim)).transpose(2, 0, 1)
+        return 0.5 * _dot(pts.T[:, :, None], planes) + origin
+
     def _constraint_pass(self, pts) -> tuple:
-        """Constraint values (N, k) from one plain evaluation, the same
-        numbers a seeded pass gives, and gradients (N, k, d)."""
-        return self.constraint_values(pts), self.constraint_gradients(pts)
+        """Constraint values (N, k) and gradients (N, k, d).  Where every
+        constraint has a map, both come from one product with the stacked
+        maps and no constraint function is called; otherwise from
+        constraint_values and constraint_gradients."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if len(self._level_maps[0]) < len(self.constraints):
+            return self.constraint_values(pts), self.constraint_gradients(pts)
+        grads = self._mapped_gradients(pts)
+        return self._mapped_values(pts, grads), grads
 
     def constraint_residual(self, pts) -> np.ndarray:
         """Max constraint violation per point."""
@@ -231,36 +295,39 @@ class ContactManifold:
     def project(self, pts, tol: float = 1e-13, max_iter: int = 12) -> np.ndarray:
         """Orthogonal Newton projection onto the constraint set.
 
-        One constraint pass gives the values and the Jacobian at the input;
-        each Newton update is followed by a plain evaluation of the
-        values, and the Jacobian is taken again only when another update
-        is needed.  Raises ProjectionError when max_iter updates leave a
-        residual above tol.
+        One constraint pass gives the values and the Jacobian at the input,
+        and Newton continues from it (see _newton): where every constraint
+        has a map, no constraint function is called.  Raises ProjectionError
+        when max_iter updates leave a residual above tol.
         """
         pts = np.asarray(pts, dtype=float)
         scalar = pts.ndim == 1
         q = np.atleast_2d(pts).copy()
         if self.constraints:
             vals, jac = self._constraint_pass(q)
-            q = self._newton(q, vals, jac, float(np.max(np.abs(vals))), tol, max_iter)
+            q = self._newton(q, vals, jac, float(np.abs(vals).max()), tol, max_iter)
         return q[0] if scalar else q
 
     def _newton(self, q, vals, jac, res: float, tol: float = 1e-13,
                 max_iter: int = 12) -> np.ndarray:
         """Newton projection of q (N, d), updated in place, starting from
         the constraint values at q, their largest magnitude res and the
-        Jacobian at q.  The residual after the last allowed update is
-        tested before ProjectionError is raised."""
+        Jacobian at q.  Where every constraint has a map, one constraint
+        pass after each update gives the new values and Jacobian; otherwise
+        a plain evaluation gives the values, and the Jacobian is taken again
+        only when another update is needed.  The residual after the last
+        allowed update is tested before ProjectionError is raised."""
+        mapped = len(self._level_maps[0]) == len(self.constraints)
         for i in range(max_iter + 1):
             if res <= tol:
                 return q
             if i == max_iter:
                 break
-            if i:
+            if jac is None:
                 jac = self.constraint_gradients(q)
             q -= _normal_part(jac, vals)
-            vals = self.constraint_values(q)
-            res = float(np.max(np.abs(vals)))
+            vals, jac = self._constraint_pass(q) if mapped else (self.constraint_values(q), None)
+            res = float(np.abs(vals).max())
         raise ProjectionError(f"projection stalled at residual {res:.3e}")
 
     def point(self, coords) -> np.ndarray:

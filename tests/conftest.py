@@ -45,15 +45,16 @@ def sample(m, count, seed=0):
 def counting_constraints(m):
     """m with each constraint function wrapped to count its evaluations.
 
-    Returns (manifold, calls); calls gains one entry per evaluation of
-    any constraint, plain or seeded.  Gradient maps are kept, so the
-    count is that of m itself.
+    Returns (manifold, calls); calls gains the constraint's name on each
+    evaluation of any constraint, plain or seeded.  Gradient maps are
+    kept, so the count is that of m itself: building the manifold takes
+    each mapped constraint's value at the origin, one call each.
     """
     calls = []
 
     def counted(c):
         def fn(coords):
-            calls.append(1)
+            calls.append(c.name)
             return c.fn(coords)
         return ScalarField(fn, c.dim, c.name, c.gradient_map)
 

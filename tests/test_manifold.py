@@ -15,6 +15,7 @@ from contactkit.dual import Dual, epsilon, seed
 from contactkit.fields import OneForm, ScalarField
 from contactkit.manifold import (ContactDegeneracyError, ContactManifold, DegenerateFrameError,
                                  ProjectionError, _ambient_data, _bordered_wedge, _matchings,
+                                 _normal_part,
                                  hamiltonian_field_with_derivative,
                                  reeb_with_derivative)
 from contactkit.hamiltonian import hamiltonian, hamiltonian_to_field
@@ -130,7 +131,8 @@ def test_projection_stall_raises_and_projected_points_stay(sphere):
     calls.clear()
     again = counted.project(pts)
     assert np.array_equal(again, pts)
-    assert len(calls) == 1
+    # values and gradients both come from the gradient map
+    assert len(calls) == 0
 
 
 def test_tangent_frame_orthonormal_and_tangent(golden):
@@ -788,18 +790,72 @@ def test_schur_route_raises_where_the_form_is_not_contact():
                 call(generic, m.random_tangents(generic, rng))
 
 
-def test_constraint_pass_values_are_the_seeded_values():
-    from contactkit.dual import seed, value
+def test_constraint_pass_values_match_the_level_functions():
+    from contactkit.dual import value
+    eps = np.finfo(float).eps
     for m in _constrained_zoo():
         noise = np.random.default_rng(12).normal(size=(50, m.ambient_dim))
         pts = sample(m, 50, seed=12) + 1e-7 * noise
         vals, grads = m._constraint_pass(pts)
+        assert np.array_equal(vals, m.constraint_values(pts)), m.name
         coords = seed(list(pts.T))
         for i, c in enumerate(m.constraints):
-            assert np.array_equal(vals[:, i], value(c.fn(coords))), (m.name, c.name)
+            seeded = value(c.fn(coords))
+            if c.gradient_map is None:
+                # an unmapped constraint keeps its function's bits
+                assert np.array_equal(vals[:, i], seeded), (m.name, c.name)
+            else:
+                # a mapped one is read from its map: the two routes each round
+                # d products and sums of terms of size about one, u = eps / 2
+                # each, so they differ by at most (d + 1) eps
+                err = np.max(np.abs(vals[:, i] - seeded))
+                assert err <= (m.ambient_dim + 1) * eps, (m.name, c.name, err)
         assert np.array_equal(grads, m.constraint_gradients(pts)), m.name
         one_vals, one_grads = m._constraint_pass(pts[4])
         assert np.array_equal(one_vals, vals[4:5]) and np.array_equal(one_grads, grads[4:5])
+
+
+def test_constraint_maps_are_symmetric_and_offset_by_the_value_at_the_origin():
+    for m in _constrained_zoo():
+        mapped, _, _, origin = m._level_maps
+        assert mapped == [i for i, c in enumerate(m.constraints) if c.gradient_map is not None]
+        for i, c0 in zip(mapped, origin):
+            mat = m.constraints[i].gradient_map[0]
+            assert np.array_equal(mat, mat.T), (m.name, i)
+            assert c0 == m.constraints[i].fn([0.0] * m.ambient_dim), (m.name, i)
+    # a map whose matrix is not symmetric is no gradient map of a quadratic
+    s3 = zoo.standard_sphere(1)
+    skew = ScalarField(s3.constraints[0].fn, 4, "skew",
+                       gradient_map=(2.0 * np.eye(4) + np.eye(4, k=1), np.zeros(4)))
+    with pytest.raises(ValueError, match="non-symmetric"):
+        replace(s3, constraints=(skew,))
+
+
+def test_normal_part_divides_by_the_gram_entry_as_the_solve_does():
+    rng = np.random.default_rng(33)
+    for m in (zoo.standard_sphere(1), zoo.standard_sphere(2), zoo.standard_sphere(3),
+              zoo.weighted_sphere([1.0, (1.0 + np.sqrt(5.0)) / 2.0])):
+        pts = sample(m, 3000, seed=33) * (1.0 + 1e-9 * rng.normal(size=(3000, 1)))
+        vals, grads = m._constraint_pass(pts)
+        gram = np.einsum("nia,nja->nij", grads, grads)
+        solved = np.einsum("ni,nia->na", np.linalg.solve(gram, vals[..., None])[..., 0], grads)
+        assert np.array_equal(_normal_part(grads, vals), solved), m.name
+        for i in range(0, 3000, 300):
+            alone = _normal_part(grads[i:i + 1], vals[i:i + 1])
+            assert np.array_equal(alone, solved[i:i + 1]), (m.name, i)
+
+
+def test_round_cotangent_bundle_projects_from_its_maps(cotangent):
+    counted, calls = counting_constraints(cotangent)
+    calls.clear()
+    rng = np.random.default_rng(34)
+    pts = sample(cotangent, 40, seed=34)
+    for scale in (1e-9, 1e-3):
+        proj = counted.project(pts + scale * rng.normal(size=pts.shape))
+        assert np.max(np.abs(cotangent.constraint_values(proj))) <= 1e-13, scale
+    # k = 3: the Newton update solves the 3 x 3 Gram system, values and
+    # Jacobian from the three maps
+    assert calls == []
 
 
 def test_point_accepts_points_on_the_manifold_only(sphere, golden, torus):
