@@ -170,10 +170,14 @@ class OneForm:
     a vector is the coordinate dot product.  coefficient_map, optional, is
     (W, w0) with coefficients x @ W + w0, as ScalarField.gradient_map.
 
-    A mapped form's d alpha is the constant Omega = W - W^T.  Where Omega
-    passes manifold._checked_inv, omega_inv and omega_pfaffian hold Omega^-1
-    and Pf(Omega), taken once here; they are None otherwise and without a
-    map.  The ambient Schur solve and density read them (see
+    A mapped form's d alpha is the constant Omega = W - W^T, kept with its
+    squared Frobenius norm as omega and omega_norm2.  Where Omega passes
+    manifold._checked_inv, omega_inv, omega_inv_norm2, omega_powers and
+    omega_pfaffian hold Omega^-1, |Omega^-1|_F^2, the (d, 3d) matrix
+    [I | Omega^-1 | Omega^-1 Omega^-1] and Pf(Omega); they are None
+    otherwise, and all six are None without a map.  All are taken once
+    here (see manifold._omega_factors), so a rescaled form rebuilds them.
+    The ambient Schur solve and density read them (see
     manifold._schur_route).
     """
 
@@ -183,11 +187,13 @@ class OneForm:
         self.dim = dim
         self.name = name
         self.coefficient_map = coefficient_map
-        self.omega_inv = self.omega_pfaffian = None
+        factors = (None,) * 6
         if coefficient_map is not None:
             # imported here: manifold builds on this module
             from .manifold import _omega_factors
-            self.omega_inv, self.omega_pfaffian = _omega_factors(coefficient_map[0])
+            factors = _omega_factors(coefficient_map[0])
+        (self.omega, self.omega_norm2, self.omega_inv, self.omega_inv_norm2,
+         self.omega_powers, self.omega_pfaffian) = factors
 
     def coefficients(self, pts):
         coords, scalar = split_point(pts)

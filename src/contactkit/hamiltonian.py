@@ -88,7 +88,7 @@ def hamiltonian_to_field(h: Hamiltonian, pts, tol: float = FIELD_SOLVE_TOL):
     """
     pts_arr = np.asarray(pts, dtype=float)
     q = np.atleast_2d(pts_arr)
-    out = _contact_solve(h.manifold, q, np.empty((0,) + q.shape), h.field, tol)[0].val
+    out = _contact_solve(h.manifold, q, None, h.field, tol)[0]
     return out[0] if pts_arr.ndim == 1 else out
 
 
@@ -138,19 +138,17 @@ def bracket_hamiltonian(h1: Hamiltonian, h2: Hamiltonian) -> Hamiltonian:
 
     def fn(coords):
         seeded = any(isinstance(c, Dual) for c in coords)
-        if seeded:
-            p, dp = _coords_to_seeded_point(coords)
-        else:
-            p = split_point_coords(coords, d)[0]
-            dp = np.empty((0,) + p.shape)
+        p, dp = (_coords_to_seeded_point(coords) if seeded
+                 else (split_point_coords(coords, d)[0], None))
         single = p.ndim == 1
-        q, dq = (p[None], dp[..., None, :]) if single else (p, dp)
+        q, dq = (p[None], None if dp is None else dp[..., None, :]) if single else (p, dp)
         x1, dh1_reeb = _contact_solve(m, q, dq, h1.field, FIELD_SOLVE_TOL)
-        point = _columns(Dual(q, dq))
-        dh2_x1 = epsilon(h2.field.fn(seed(point, _columns(x1))))
+        point = _columns(q, dq)
+        directions = _columns(x1.val, x1.eps) if seeded else _columns(x1)
+        dh2_x1 = epsilon(h2.field.fn(seed(point, directions)))
         out = dh1_reeb * h2.field.fn(point) - dh2_x1
         if not seeded:
-            return float(out.val[0]) if single else out.val
+            return float(out[0]) if single else out
         return Dual(out.val[0], out.eps[..., 0]) if single else out
 
     invariant = True if (h1.reeb_invariant and h2.reeb_invariant) else None

@@ -88,24 +88,33 @@ def apply_rule(integrand: Callable, rule: tuple, seed: int,
                threads: Optional[int] = None) -> IntegralResult:
     """scale * sum(integrand * weight) over the nodes of a rule
     (points, weights or None, scale, sampled); a sampled rule's error is
-    the iid standard error, a deterministic rule's is zero.  The sums
-    of the values and of their squares are exact sums rounded once."""
+    the iid standard error, a deterministic rule's is zero.  The sum of the
+    values is exact and rounded once; so is the sum of their squared
+    deviations from the mean that the standard error takes (see
+    _deviation_sum).  A standard error below half an ulp of the value is
+    reported as zero."""
     pts, weights, scale, sampled = rule
-    total, total_sq, count = _eval_chunks(integrand, pts, weights, threads)
+    sums, squares, count = _eval_chunks(integrand, pts, weights, threads)
+    total = _round_sums(sums)
     if not sampled:
         return IntegralResult(value=scale * total, std_error=0.0,
                               method="quadrature", samples=count, seed=None)
-    mean = total / count
-    var = max(0.0, total_sq / count - mean * mean)
-    return IntegralResult(value=scale * total,
-                          std_error=scale * count * math.sqrt(var / count),
-                          method="monte-carlo", samples=count, seed=seed)
+    value = scale * total
+    # count * sqrt(variance / count) with variance = deviations / count
+    std_error = scale * math.sqrt(_deviation_sum(sums, squares, count))
+    if std_error < 0.5 * math.ulp(value):
+        # a spread that cannot move the value's last bit is the integrand's
+        # rounding noise, which the zero of a deterministic rule leaves out too
+        std_error = 0.0
+    return IntegralResult(value=value, std_error=std_error, method="monte-carlo",
+                          samples=count, seed=seed)
 
 
 def _eval_chunks(integrand: Callable, pts: np.ndarray, weights,
                  threads: Optional[int]):
-    """Sums of integrand * weight and of its square over _CHUNK-point
-    chunks: exact per chunk, added exactly, rounded once at the end."""
+    """The exact sums (see _exact_sum) of v = integrand * weight and of v^2
+    over each _CHUNK-point chunk, and the node count.  v^2 is summed as
+    fl(v^2) and its rounding error (see _square_error), two parts per chunk."""
     nthreads = default_threads() if threads is None else max(1, int(threads))
     chunks = [slice(i, min(i + _CHUNK, pts.shape[0])) for i in range(0, pts.shape[0], _CHUNK)]
 
@@ -113,17 +122,26 @@ def _eval_chunks(integrand: Callable, pts: np.ndarray, weights,
         vals = integrand(pts[sl])
         if weights is not None:
             vals = vals * weights[sl]
-        return _exact_sum(vals), _exact_sum(vals * vals), vals.size
+        squares = vals * vals
+        return (_exact_sum(vals), [_exact_sum(squares), _exact_sum(_square_error(vals, squares))],
+                vals.size)
 
     if nthreads == 1 or len(chunks) == 1:
         stats = [work(sl) for sl in chunks]
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             stats = list(pool.map(work, chunks))
-    total = _round_sums([s[0] for s in stats])
-    total_sq = _round_sums([s[1] for s in stats])
-    count = sum(s[2] for s in stats)
-    return total, total_sq, count
+    return [s[0] for s in stats], [p for s in stats for p in s[1]], sum(s[2] for s in stats)
+
+
+def _square_error(vals: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """v^2 - fl(v^2) for the values v and their rounded squares, exactly, by
+    Dekker's product on Veltkamp's split of v into halves of 26 bits, where
+    v^2 neither overflows nor falls below the normal range."""
+    scaled = vals * 134217729.0  # 2^27 + 1
+    hi = scaled - (scaled - vals)
+    lo = vals - hi
+    return ((hi * hi - squares) + 2.0 * hi * lo) + lo * lo
 
 
 def _exact_sum(vals: np.ndarray):
@@ -143,7 +161,8 @@ def _exact_sum(vals: np.ndarray):
     hi = np.floor(m)
     lo = (m - hi) * float(1 << _LO_BITS)
     e_min = int(e.min())
-    k = e - e_min
+    # np.bincount takes intp bins; frexp's exponents are int32
+    k = np.subtract(e, e_min, dtype=np.intp)
     his = np.bincount(k, weights=hi).astype(np.int64).tolist()
     los = np.bincount(k, weights=lo).astype(np.int64).tolist()
     n = 0
@@ -164,10 +183,32 @@ def _round_sums(parts) -> float:
     special = [p for p in parts if isinstance(p, np.ndarray)]
     if special:
         return _nonfinite_sum(np.concatenate(special))
+    return _quotient(*_total(parts), 1)
+
+
+def _deviation_sum(sums: list, squares: list, count: int) -> float:
+    """sum (v - mean)^2 over count values, (count sum v^2 - (sum v)^2) / count,
+    from the _exact_sum parts of the sum of the values and of the sum of
+    their squares: the numerator is formed exactly and the quotient rounded
+    once, so no cancellation between the two sums is left.  Values with nan
+    or inf give the rounded sum of the squares' parts, nan or inf."""
+    if any(isinstance(p, np.ndarray) for p in sums + squares):
+        return _round_sums(squares)
+    (n1, s1), (n2, s2) = _total(sums), _total(squares)
+    # count n2 2^s2 - n1^2 2^(2 s1) = numer 2^s
+    s = min(s2, 2 * s1)
+    return _quotient(((count * n2) << (s2 - s)) - ((n1 * n1) << (2 * s1 - s)), s, count)
+
+
+def _total(parts) -> tuple:
+    """The exact total n * 2**s of finite _exact_sum parts, as (n, s)."""
     s = min(p[1] for p in parts)
-    n = sum(p[0] << (p[1] - s) for p in parts)
-    # int -> float and int / int are correctly rounded in CPython
-    return float(n << s) if s >= 0 else n / (1 << -s)
+    return sum(p[0] << (p[1] - s) for p in parts), s
+
+
+def _quotient(n: int, s: int, d: int) -> float:
+    """n * 2**s / d correctly rounded: int -> float and int / int are, in CPython."""
+    return (n << s) / d if s >= 0 else n / (d << -s)
 
 
 def _nonfinite_sum(vals: np.ndarray) -> float:

@@ -38,15 +38,21 @@ constraints are evaluated plainly for values and seeded for gradients.
 
 Contact fields.  Every Reeb and Hamiltonian field, with or without a
 derivative, solves one square ambient system K with multipliers for alpha
-and the constraints (see _contact_solve).  One pass builds its rows,
-reading the maps of linear forms and quadratic fields (see _ambient_rows).
-K is invertible exactly where the form is contact.  The manifolds whose
-density comes from ambient Pfaffians (see _schur_route) solve K through
-its (k+1) x (k+1) Schur complement S = B Omega^-1 B^T, B = [G; alpha], in
-closed form (see _schur_solve); the k = 0 charts and unmapped forms
-invert K once per call (see _ambient_data, _checked_inv).  The frame serves
-the density of the k = 0 charts and of unmapped forms, random_tangents,
-and reeb_residuals, which checks the ambient solve independently.
+and the constraints (see _contact_solve).  One pass builds its rows (see
+_ambient_rows): where the constraints and the form are mapped, the rows
+B = [G; alpha] are one product with their maps side by side, stacked once
+per manifold.  K is invertible exactly where the form is contact.  The
+manifolds whose density comes from ambient Pfaffians (see _schur_route)
+solve K through its (k+1) x (k+1) Schur complement S = B Omega^-1 B^T in
+closed form (see _schur_solve): one more product with the form's
+constants, taken once when the form is built (see _omega_factors), gives
+S and the blocks of K's Frobenius product, and one gather of S's entries
+gives Pf(S) and S^-1 (see _schur_factor).  A derivative solve shares
+that path; a value-only solve skips its derivative part and returns
+plain arrays.  The k = 0 charts and unmapped forms invert K once per call
+(see _ambient_data, _checked_inv).  The frame serves the density of the
+k = 0 charts and of unmapped forms, random_tangents, and reeb_residuals,
+which checks the ambient solve independently.
 """
 
 from __future__ import annotations
@@ -101,16 +107,20 @@ def _checked_inv(system: np.ndarray) -> np.ndarray:
 
 
 def _omega_factors(w: np.ndarray) -> tuple:
-    """(Omega^-1, Pf(Omega)) for the constant d alpha Omega = W - W^T of a
-    coefficient_map (W, w0), or (None, None) where _checked_inv rejects Omega.
-    OneForm keeps them for the ambient Schur solve and density."""
+    """The constants of the constant d alpha Omega = W - W^T of a
+    coefficient_map (W, w0): (Omega, |Omega|_F^2, Omega^-1, |Omega^-1|_F^2,
+    [I | Omega^-1 | Omega^-1 Omega^-1], Pf(Omega)), the last four None where
+    _checked_inv rejects Omega.  OneForm keeps them, taken once when it is
+    built, for the ambient Schur solve (see _schur_factor) and density."""
     omega = w - w.T
+    norm2 = np.vdot(omega, omega)
     try:
         inv = _checked_inv(omega)
     except ContactDegeneracyError:
-        return None, None
+        return omega, norm2, None, None, None, None
     entries = omega.tolist()
-    return inv, _pfaffian(lambda r, c: entries[r][c], tuple(range(len(entries))))
+    return (omega, norm2, inv, np.vdot(inv, inv), np.hstack([np.eye(len(inv)), inv, inv @ inv]),
+            _pfaffian(lambda r, c: entries[r][c], tuple(range(len(entries)))))
 
 
 def _dot(u, v):
@@ -131,6 +141,13 @@ def _dot(u, v):
             folded[0] += terms[-1]
         terms = folded
     return terms[0]
+
+
+def _side_by_side(maps: list, d: int) -> tuple:
+    """Maps (A, a0), A (d, d), as one map (d, m d) and (m d,): x @ A + a0 of
+    the stack holds those of the maps in order."""
+    return (np.hstack([np.zeros((d, 0))] + [a for a, _ in maps]),
+            np.concatenate([np.zeros(0)] + [a0 for _, a0 in maps]))
 
 
 def _gradient_volume(grads: np.ndarray) -> np.ndarray:
@@ -173,11 +190,16 @@ class ContactManifold:
     # their maps side by side, A (d, m d) and a0 (m d,), and their values
     # c0 (m,) at the origin; set by __post_init__
     _level_maps: tuple = field(default=(), init=False, repr=False, compare=False)
+    # (rows, A, a0): the rows of B = [G; alpha] with a map, the mapped
+    # constraints and then alpha where the form has a coefficient_map, and
+    # their maps side by side; set by __post_init__ for _ambient_rows
+    _row_maps: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Stack the constraints' gradient maps once, taking each mapped
-        constraint's value at the origin by one call of its fn.  A quadratic's
-        Hessian is symmetric, so a map (G, g0) with G != G^T is a ValueError."""
+        constraint's value at the origin by one call of its fn, and again
+        with the form's coefficient_map after them.  A quadratic's Hessian is
+        symmetric, so a map (G, g0) with G != G^T is a ValueError."""
         d = self.ambient_dim
         mapped = [i for i, c in enumerate(self.constraints) if c.gradient_map is not None]
         maps = [self.constraints[i].gradient_map for i in mapped]
@@ -186,11 +208,11 @@ class ContactManifold:
                 raise ValueError(f"constraint {self.constraints[i].name!r} has a gradient "
                                  "map with a non-symmetric matrix")
         origin = np.zeros(d)
-        object.__setattr__(self, "_level_maps", (
-            mapped,
-            np.hstack([np.zeros((d, 0))] + [g for g, _ in maps]),
-            np.concatenate([np.zeros(0)] + [g0 for _, g0 in maps]),
-            np.array([self.constraints[i](origin) for i in mapped], dtype=float)))
+        object.__setattr__(self, "_level_maps", (mapped,) + _side_by_side(maps, d) + (
+            np.array([self.constraints[i](origin) for i in mapped], dtype=float),))
+        if self.form.coefficient_map is not None:
+            mapped, maps = mapped + [len(self.constraints)], maps + [self.form.coefficient_map]
+        object.__setattr__(self, "_row_maps", (mapped,) + _side_by_side(maps, d))
 
     @property
     def dim(self) -> int:
@@ -458,7 +480,7 @@ class ContactManifold:
         """Reeb vector field: alpha(R) = 1 and d alpha(R, .) = 0 on TM,
         from the ambient contact system (see _contact_solve)."""
         q = np.atleast_2d(np.asarray(pts, dtype=float))
-        reeb = _contact_solve(self, q, np.empty((0,) + q.shape))[0].val
+        reeb = _contact_solve(self, q, None)[0]
         return reeb[0] if np.ndim(pts) == 1 else reeb
 
     def reeb_residuals(self, pts) -> dict:
@@ -537,17 +559,17 @@ def _bordered_wedge(a: np.ndarray, dmat: np.ndarray, n: int) -> np.ndarray:
 # the ambient contact solve, differentiable through dual seeding.  Batched
 # over points: p (N, d) with dp (N, d), or (k, N, d) for k seeds at once,
 # gives Duals with values (N, ...) and eps parts (N, ...) or (k, N, ...);
-# directions (0, N, d) give the values alone.
+# dp None gives the values alone, as plain arrays.
 
 
-def _columns(x: Dual) -> list:
-    """The coordinate columns of points x.val (N, d), seeded along x.eps if it
+def _columns(x: np.ndarray, dx: Optional[np.ndarray] = None) -> list:
+    """The coordinate columns of points x (N, d), seeded along dx if it
     carries a direction: one dual layer for a derivative and none for values
     alone, so that a value-only solve seeds its fields once."""
-    cols = [x.val[:, a] for a in range(x.val.shape[-1])]
-    if not x.eps.size:
+    cols = [x[:, a] for a in range(x.shape[-1])]
+    if dx is None or not dx.size:
         return cols
-    return seed(cols, [x.eps[..., a] for a in range(x.val.shape[-1])])
+    return seed(cols, [dx[..., a] for a in range(x.shape[-1])])
 
 
 def _affine(amap: tuple, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -569,72 +591,100 @@ def _affine_planes(amap: tuple, x: np.ndarray) -> np.ndarray:
 
 def _schur_route(m: ContactManifold) -> bool:
     """Whether m's contact fields and density come from the Schur complement
-    of the ambient system: k >= 1 constraints and a form with a
-    coefficient_map whose Omega = W - W^T passes _checked_inv."""
-    return bool(m.constraints) and m.form.omega_inv is not None
+    of the ambient system: k = 1 or 3 constraints, whose Schur complement
+    _pfaffian_inverse inverts, and a form with a coefficient_map whose
+    Omega = W - W^T passes _checked_inv."""
+    return len(m.constraints) in (1, 3) and m.form.omega_inv is not None
 
 
-def _ambient_rows(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None) -> tuple:
+def _run(indices: list):
+    """Increasing indices as a slice where they are consecutive, which numpy
+    fills faster than an index list."""
+    if indices[-1] - indices[0] == len(indices) - 1:
+        return slice(indices[0], indices[-1] + 1)
+    return indices
+
+
+def _ambient_rows(m: ContactManifold, p: np.ndarray, dp: Optional[np.ndarray],
+                  h=None) -> tuple:
     """The rows of the ambient contact system at p with their derivatives along dp.
 
-    Mapped fields give theirs in closed form (see _affine), each with the
-    derivative dp @ A: alpha from the form's coefficient_map, the gradients
-    of the constraints and of h from their gradient_maps, and h's value
-    from one plain evaluation.  The others take one pass: p seeded along dp
-    (see _columns), the d unit directions in front.  Returns (alpha, jac,
-    grads, hval), Duals of arrays whose eps part is the dp-derivative:
-    alpha (N, d); jac (N, d, d) with jac[b, a] = d_a w_b, or None for a
-    mapped form, whose d alpha is the constant W - W^T; grads (N, k, d),
-    with h's gradient as a last row (N, k+1, d); hval (N,), None without h.
-    Where nothing is mapped all four are views of the seeded pass.
+    Mapped fields give theirs in closed form, each with the derivative
+    dp @ A: the constraint gradients and alpha from one product with the
+    manifold's maps of B's rows side by side (see ContactManifold._row_maps),
+    h's gradient from its gradient_map (see _affine), and h's value from one
+    plain evaluation.  The others take one pass: p seeded along dp (see
+    _columns), the d unit directions in front.  Returns (rows, jac, hval),
+    Duals of arrays whose eps part is the dp-derivative, None where dp is
+    None: rows (N, k+1, d) = [G; alpha], with h's gradient as a last row
+    (N, k+2, d); jac (N, d, d) with jac[b, a] = d_a w_b, or None for a
+    mapped form, whose d alpha is the constant Omega; hval (N,), None
+    without h.
     """
-    d, n_pts, lead = m.ambient_dim, p.shape[0], dp.shape[:-2]
+    d, n_pts, k = m.ambient_dim, p.shape[0], len(m.constraints)
+    lead = () if dp is None else dp.shape[:-2]
     scalars, form_map = list(m.constraints) + ([] if h is None else [h]), m.form.coefficient_map
+    mapped, stacked, shift = m._row_maps
+    size = len(scalars) + 1
+    if mapped:
+        product = Dual(np.add(p @ stacked, shift).reshape(n_pts, len(mapped), d), None if dp is None
+                       else (dp @ stacked).reshape(lead + (n_pts, len(mapped), d)))
+    if len(mapped) == size:
+        # B alone, every row mapped: the product is the array of rows
+        rows = product
+    else:
+        rows = Dual(np.empty((n_pts, size, d)),
+                    None if dp is None else np.empty(lead + (n_pts, size, d)))
+        if mapped:
+            at = _run(mapped)
+            rows.val[:, at] = product.val
+            if dp is not None:
+                rows.eps[..., at, :] = product.eps
+    if h is not None and h.gradient_map is not None:
+        _affine(h.gradient_map, p, out=rows.val[:, k + 1])
+        if dp is not None:
+            rows.eps[..., k + 1, :] = dp @ h.gradient_map[0]
     seeded = [i for i, f in enumerate(scalars) if f.gradient_map is None]
-    alpha = jac = hval = None
-    if form_map is not None:
-        # value-only directions (0, N, d) are themselves the empty eps part
-        alpha = Dual(_affine(form_map, p), dp @ form_map[0] if dp.size else dp)
+    jac = hval = None
     if form_map is None or seeded:
-        coords = seed(_columns(Dual(p, dp)))
+        coords = seed(_columns(p, dp))
         out = [] if form_map is not None else list(m.form.coef_fn(coords))
         out += [scalars[i].fn(coords) for i in seeded]
         outer = [(x.val, x.eps) if isinstance(x, Dual) else (x, 0.0) for x in out]
-        vals = Dual(_stack([value(v) for v, _ in outer], (n_pts,)),
-                    _stack([epsilon(v) for v, _ in outer], lead + (n_pts,)))
+        vals = Dual(_stack([value(v) for v, _ in outer], (n_pts,)), None)
         # gradients carry the direction axis in front of dp's axes; their
         # values do not vary along dp's axes, which a value-only pass lacks
-        inner = (1,) * len(lead) if dp.size else ()
+        inner = (1,) * len(lead) if dp is not None and dp.size else ()
         grad_val = _stack([value(g) for _, g in outer], (d,) + inner + (n_pts,))
-        grad_eps = _stack([epsilon(g) for _, g in outer], (d,) + lead + (n_pts,))
         # one gradient row (N, d) per function, the functions in order
-        rows = Dual(np.moveaxis(grad_val.reshape(d, n_pts, -1), 0, -1),
-                    np.moveaxis(grad_eps, 0, -1))
+        grads = Dual(np.moveaxis(grad_val.reshape(d, n_pts, -1), 0, -1), None)
+        if dp is not None:
+            vals.eps = _stack([epsilon(v) for v, _ in outer], lead + (n_pts,))
+            grads.eps = np.moveaxis(_stack([epsilon(g) for _, g in outer], (d,) + lead + (n_pts,)),
+                                    0, -1)
         start = 0
         if form_map is None:
-            alpha = Dual(vals.val[..., :d], vals.eps[..., :d])
-            jac, start = Dual(rows.val[..., :d, :], rows.eps[..., :d, :]), d
-        if h is not None and h.gradient_map is None:
-            hval = Dual(vals.val[..., -1], vals.eps[..., -1])
-    if seeded and len(seeded) == len(scalars):
-        grads = Dual(rows.val[..., start:, :], rows.eps[..., start:, :])
-    else:
-        grads = Dual(np.empty((n_pts, len(scalars), d)), np.empty(lead + (n_pts, len(scalars), d)))
-        for i, f in enumerate(scalars):
-            if f.gradient_map is not None:
-                _affine(f.gradient_map, p, out=grads.val[:, i])
-                if dp.size:
-                    grads.eps[..., i, :] = dp @ f.gradient_map[0]
+            rows.val[:, k] = vals.val[:, :d]
+            jac, start = Dual(grads.val[:, :d], None), d
+            if dp is not None:
+                rows.eps[..., k, :] = vals.eps[..., :d]
+                jac.eps = grads.eps[..., :d, :]
         if seeded:
-            grads.val[:, seeded] = rows.val[..., start:, :]
-            grads.eps[..., seeded, :] = rows.eps[..., start:, :]
+            # the constraints' rows come first, then alpha's, then h's
+            at = _run([i if i < k else k + 1 for i in seeded])
+            rows.val[:, at] = grads.val[:, start:]
+            if dp is not None:
+                rows.eps[..., at, :] = grads.eps[..., start:, :]
+        if h is not None and h.gradient_map is None:
+            hval = Dual(vals.val[:, -1], None if dp is None else vals.eps[..., -1])
     if hval is None and h is not None:
         hval = Dual(_filled(h.fn([p[:, a] for a in range(d)]), (n_pts,)),
-                    np.sum(grads.val[:, -1] * dp, -1))
-    return alpha, jac, grads, hval
+                    None if dp is None else np.sum(rows.val[:, -1] * dp, -1))
+    return rows, jac, hval
 
 
-def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None) -> tuple:
+def _ambient_data(m: ContactManifold, p: np.ndarray, dp: Optional[np.ndarray],
+                  h=None) -> tuple:
     """The square ambient system of _contact_solve at p with its derivative
     along dp, assembled from _ambient_rows.
 
@@ -642,46 +692,88 @@ def _ambient_data(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None) -> 
     [alpha, 0, 0], [G, 0, 0] with Omega[a, b] = d_a w_b - d_b w_a, and
     r (N, d+1+k) is (dH, H, 0), with H = 1 without h: the Reeb field is the
     contact field of 1.  Each is a Dual of arrays whose eps part is the
-    dp-derivative.  Unmapped parts are read from the seeded pass directly.
+    dp-derivative, None where dp is None.
     """
     d, k = m.ambient_dim, len(m.constraints)
     size = d + 1 + k
-    alpha, jac, grads, hval = _ambient_rows(m, p, dp, h)
+    rows, jac, hval = _ambient_rows(m, p, dp, h)
 
-    def assemble(a, j, g, omega):
-        s = np.zeros(a.shape[:-1] + (size, size))
+    def assemble(r, j, omega):
+        s = np.zeros(r.shape[:-2] + (size, size))
         if j is not None:
             s[..., :d, :d] = j.swapaxes(-1, -2) - j
         elif omega is not None:
             s[..., :d, :d] = omega
-        cons = g[..., :k, :]
-        s[..., :d, d] = -a
-        s[..., :d, d + 1:] = -cons.swapaxes(-1, -2)
-        s[..., d, :d] = a
-        s[..., d + 1:, :d] = cons
+        s[..., :d, d] = -r[..., k, :]
+        s[..., :d, d + 1:] = -r[..., :k, :].swapaxes(-1, -2)
+        s[..., d, :d] = r[..., k, :]
+        s[..., d + 1:, :d] = r[..., :k, :]
         return s
 
-    form_map = m.form.coefficient_map
-    omega = None if form_map is None else form_map[0] - form_map[0].T
-    system = Dual(assemble(alpha.val, None if jac is None else jac.val, grads.val, omega),
-                  assemble(alpha.eps, None if jac is None else jac.eps, grads.eps, None))
-    rhs = Dual(np.zeros(alpha.val.shape[:-1] + (size,)), np.zeros(alpha.eps.shape[:-1] + (size,)))
+    def right(r, hv):
+        out = np.zeros(r.shape[:-2] + (size,))
+        if hv is not None:
+            out[..., :d], out[..., d] = r[..., k + 1, :], hv
+        return out
+
+    system = Dual(assemble(rows.val, None if jac is None else jac.val, m.form.omega), None)
+    rhs = Dual(right(rows.val, None if hval is None else hval.val), None)
     if hval is None:
         rhs.val[..., d] = 1.0
-    else:
-        for r, hv, g in ((rhs.val, hval.val, grads.val), (rhs.eps, hval.eps, grads.eps)):
-            r[..., :d], r[..., d] = g[..., k, :], hv
+    if dp is not None:
+        system.eps = assemble(rows.eps, None if jac is None else jac.eps, None)
+        rhs.eps = right(rows.eps, None if hval is None else hval.eps)
     return system, rhs
 
 
 @lru_cache(maxsize=None)
-def _cofactors(size: int) -> tuple:
-    """The pairs r < c of range(size) with the other indices, and the signs
-    (-1)^(r+c+1) as a symmetric (size, size) matrix, for _schur_factor."""
-    pairs = tuple((r, c, tuple(i for i in range(size) if i not in (r, c)))
-                  for r in range(size) for c in range(r + 1, size))
-    rows, cols = np.indices((size, size))
-    return pairs, (-1.0) ** (rows + cols + 1)
+def _cofactor_table(size: int, width: int, step: int) -> tuple:
+    """The flat indices and signs of S^-T's cofactors for _pfaffian_inverse,
+    S[r, c] read at r * width + c * step.
+
+    For size 4 the index of (r, c) points at the entry (i, j), i < j, of
+    the other two indices: Pf of S without rows and columns r and c.  For
+    size 2 that Pfaffian is 1 and the index is None.  The signs are
+    (-1)^(r+c+1) for r < c, their negatives below the diagonal, where the
+    cofactor is the same entry, and 0 on it.
+    """
+    index = np.zeros((size, size), dtype=np.intp)
+    signs = np.zeros((size, size))
+    for r in range(size):
+        for c in range(size):
+            if r != c:
+                rest = [i for i in range(size) if i not in (r, c)]
+                index[r, c] = rest[0] * width + rest[1] * step if rest else 0
+                signs[r, c] = (-1.0) ** (r + c + 1) * (1.0 if r < c else -1.0)
+    # every call shares them
+    index.flags.writeable = signs.flags.writeable = False
+    return (index if size == 4 else None), signs
+
+
+def _pfaffian_inverse(rows: np.ndarray, size: int, step: int = 1) -> tuple:
+    """Pf(S) and Y = S^-T for the antisymmetric S[:, r, c] = rows[:, r, c * step]
+    of size 2 or 4, from its entries r < c alone.
+
+    Y is the Pfaffian adjugate, Y[r, c] = (-1)^(r+c+1) Pf(S without rows and
+    columns r, c) / Pf(S) for r < c and Y[c, r] = -Y[r, c]: 1/s for size 2,
+    and an entry of S over Pf(S) for size 4, all taken by one gather with
+    the index and sign arrays of _cofactor_table.  Pf(S) is summed over
+    S's matchings in the order of _pfaffian, so both have its bits.  Raises
+    ContactDegeneracyError where Pf(S) is zero or below the smallest normal
+    number.
+    """
+    index, signs = _cofactor_table(size, rows.shape[-1], step)
+    if index is None:
+        pf = rows[:, 0, step]
+    else:
+        cofactors = rows.reshape(len(rows), -1)[:, index]
+        # s01 s23 - s02 s13 + s03 s12, each cofactor of row 0 its pair's partner
+        terms = rows[:, 0, step:step * size:step] * cofactors[:, 0, 1:]
+        pf = terms[:, 0] - terms[:, 1] + terms[:, 2]
+    if not (abs(pf) >= _TINY).all():
+        raise ContactDegeneracyError(_SINGULAR)
+    y_mat = signs * (1.0 / pf)[:, None, None]
+    return pf, y_mat if index is None else cofactors * y_mat
 
 
 def _schur_factor(form: OneForm, b: np.ndarray) -> tuple:
@@ -689,51 +781,43 @@ def _schur_factor(form: OneForm, b: np.ndarray) -> tuple:
     B = [G; alpha] (N, k+1, d) of a form with omega_inv (see _schur_solve);
     ContactManifold._ambient_density forms P and S on planes instead.
 
-    S is antisymmetric of even size k+1; Y = -S^-1 is its Pfaffian
-    adjugate, Y[r, c] = (-1)^(r+c+1) Pf(S without rows and columns r, c)
-    / Pf(S) for r < c: 1/s for k+1 = 2, and the 2x2 entries of S over
-    Pf(S) for k+1 = 4, plain arithmetic on the entries r < c of S.
+    One product with the form's omega_powers [I | Omega^-1 | Omega^-1 Omega^-1]
+    holds B, P and X = P Omega^-1 side by side; read as the 3(k+1) rows
+    B_0, P_0, X_0, B_1, ..., one product with P gives S, Q = P P^T and
+    -T = P X^T, T = P Omega^-1 P^T, interleaved in the columns of one array,
+    and _pfaffian_inverse gathers Pf(S) and Y from it.
 
     The Frobenius product of the ambient system K = [[Omega, -B^T], [B, 0]]
     comes from the blocks.  |K|^2 = |Omega|^2 + 2 |B|^2.  With
     Omega^-1 B^T = -P^T, block elimination gives
     K^-1 = [[Omega^-1 + P^T S^-1 P, -P^T S^-1], [-S^-1 P, S^-1]], so with
-    T = P Omega^-1 P^T and Q = P P^T, all but Q antisymmetric,
+    all but Q antisymmetric,
     |K^-1|^2 = |Omega^-1|^2 + 2 <S^-1, T> - tr((S^-1 Q)^2) + 2 |S^-1 P|^2
     + |S^-1|^2: <Omega^-1, P^T S^-1 P> = tr(S^-1 P Omega^-T P^T) and
     |P^T S^-1 P|^2 = tr(S^-T Q S^-1 Q).  In Y, <S^-1, T> = -<Y, T> and
-    the other terms read alike.  Raises ContactDegeneracyError where
-    Pf(S) is zero or below the smallest normal number, or where
-    DEGENERACY_RTOL |K|_F |K^-1|_F >= 1, as _checked_inv does for K.
+    the other terms read alike; |Omega|^2 and |Omega^-1|^2 are the form's.
+    Raises ContactDegeneracyError where Pf(S) is zero or below the smallest
+    normal number, or where DEGENERACY_RTOL |K|_F |K^-1|_F >= 1, as
+    _checked_inv does for K.
     """
-    inv, size = form.omega_inv, b.shape[-2]
-    p_mat = b @ inv
-    # S = P B^T, Q = P P^T and P (P Omega^-1)^T = -T from one product
-    blocks = p_mat @ np.concatenate((b, p_mat, p_mat @ inv), axis=-2).swapaxes(-1, -2)
-    s, q, minus_t = blocks[..., :size], blocks[..., size:2 * size], blocks[..., 2 * size:]
-    entry = lambda r, c: s[:, r, c]
-    pf = _pfaffian(entry, tuple(range(size)))
-    if not (abs(pf) >= _TINY).all():
-        raise ContactDegeneracyError(_SINGULAR)
-    pairs, signs = _cofactors(size)
-    minors = np.zeros(s.shape)
-    for r, c, rest in pairs:
-        minors[:, r, c] = _pfaffian(entry, rest)
-    y_mat = (minors - minors.swapaxes(-1, -2)) * ((1.0 / pf)[:, None, None] * signs)
+    n_pts, size, d = b.shape
+    stacked = b @ form.omega_powers
+    p_mat = stacked[..., d:2 * d]
+    blocks = p_mat @ stacked.reshape(n_pts, 3 * size, d).swapaxes(-1, -2)
+    _, y_mat = _pfaffian_inverse(blocks, size, 3)
     # with Z = Y Q: |Y P|^2 = <Z, Y> and tr((Y Q)^2) = <Z, Z^T>
-    z = y_mat @ q
-    terms = y_mat * (y_mat + 2.0 * (z + minus_t)) - z * z.swapaxes(-1, -2)
-    w = form.coefficient_map[0]
-    omega = w - w.T
-    inv_norm2 = np.vdot(inv, inv) + terms.sum(axis=(-2, -1))
-    fro = np.sqrt((np.vdot(omega, omega) + 2.0 * (b * b).sum(axis=(-2, -1))) * inv_norm2)
+    z = y_mat @ blocks[..., 1::3]
+    terms = y_mat * (y_mat + 2.0 * (z + blocks[..., 2::3])) - z * z.swapaxes(-1, -2)
+    inv_norm2 = form.omega_inv_norm2 + terms.sum(axis=(-2, -1))
+    fro = np.sqrt((form.omega_norm2 + 2.0 * (b * b).sum(axis=(-2, -1))) * inv_norm2)
     if not (DEGENERACY_RTOL * fro < 1.0).all():
         raise ContactDegeneracyError(_SINGULAR)
     return p_mat, y_mat, fro
 
 
-def _schur_solve(m: ContactManifold, alpha: Dual, grads: Dual, hval, tol: float) -> tuple:
-    """_contact_solve through the (k+1) x (k+1) Schur complement of K.
+def _schur_solve(m: ContactManifold, rows: Dual, hval: Optional[Dual], tol: float) -> tuple:
+    """_contact_solve through the (k+1) x (k+1) Schur complement of K, from
+    the rows of _ambient_rows.
 
     Write K's unknowns as (X, -y) with y's entries for the constraints,
     then alpha, B = [G; alpha], P = B Omega^-1 and S = P B^T (see
@@ -745,41 +829,40 @@ def _schur_solve(m: ContactManifold, alpha: Dual, grads: Dual, hval, tol: float)
     dP = dB Omega^-1, dS = dP B^T + P dB^T and dP0 = -d(dH) Omega^-1; dy
     solves the same S^T with the right-hand side's derivative minus
     dS^T y, and dX = dP0 + y dP + dy P.  Returns (X, dH(R)) as
-    _contact_solve.
+    _contact_solve: plain arrays where the rows carry no derivative.
     """
     k, inv = len(m.constraints), m.form.omega_inv
-    b = np.concatenate((grads.val[:, :k], alpha.val[:, None]), axis=-2)
+    b = rows.val[:, :k + 1]
     p_mat, y_mat, _ = _schur_factor(m.form, b)
     if hval is None:
         y = y_mat[..., -1]
         x = (y[:, None] @ p_mat)[:, 0]
     else:
-        p0 = -(grads.val[:, k, None] @ inv)[:, 0]
+        p0 = -(rows.val[:, k + 1, None] @ inv)[:, 0]
         c = -(b @ p0[..., None])[..., 0]
         c[:, -1] += hval.val
         y = (y_mat @ c[..., None])[..., 0]
         x = p0 + (y[:, None] @ p_mat)[:, 0]
     if tol < math.inf:
-        w = m.form.coefficient_map[0]
-        first = (x[:, None] @ (w.T - w))[:, 0] + (y[:, None] @ b)[:, 0]
+        # Omega X + B^T y = dH^T and B X^T = (0, ..., 0, H)
+        first = (y[:, None] @ b)[:, 0] - (x[:, None] @ m.form.omega)[:, 0]
         second = (b @ x[..., None])[..., 0]
         if hval is None:
             second[:, -1] -= 1.0
         else:
-            first -= grads.val[:, k]
+            first -= rows.val[:, k + 1]
             second[:, -1] -= hval.val
         residual = max(np.max(np.abs(first)), np.max(np.abs(second)))
         if residual > tol:
             raise GeometryError(f"contact field solve residual {residual:.3e} exceeds {tol:.0e}")
-    if not grads.eps.size:
-        lead = grads.eps.shape[:-3]
-        return Dual(x, np.empty(lead + x.shape)), Dual(y[:, -1], np.empty(lead + y.shape[:1]))
-    db = np.concatenate((grads.eps[..., :k, :], alpha.eps[..., None, :]), axis=-2)
+    if rows.eps is None:
+        return x, y[:, -1]
+    db = rows.eps[..., :k + 1, :]
     dp_mat = db @ inv
     ds = dp_mat @ b.swapaxes(-1, -2) + p_mat @ db.swapaxes(-1, -2)
     rhs = -(ds.swapaxes(-1, -2) @ y[..., None])[..., 0]
     if hval is not None:
-        dp0 = -(grads.eps[..., k, None, :] @ inv)[..., 0, :]
+        dp0 = -(rows.eps[..., k + 1, None, :] @ inv)[..., 0, :]
         rhs -= (db @ p0[..., None])[..., 0] + (b @ dp0[..., None])[..., 0]
         rhs[..., -1] += hval.eps
     dy = (y_mat @ rhs[..., None])[..., 0]
@@ -789,7 +872,7 @@ def _schur_solve(m: ContactManifold, alpha: Dual, grads: Dual, hval, tol: float)
     return Dual(x, dx), Dual(y[:, -1], dy[..., -1])
 
 
-def _contact_solve(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None,
+def _contact_solve(m: ContactManifold, p: np.ndarray, dp: Optional[np.ndarray], h=None,
                    tol: float = math.inf):
     """Reeb field, or h's contact field, at p with its dp-derivative.
 
@@ -800,27 +883,29 @@ def _contact_solve(m: ContactManifold, p: np.ndarray, dp: np.ndarray, h=None,
     field, i_X alpha = H and i_X d alpha = -dH + (i_R dH) alpha on TM, with
     nu = -dH(R).  K is antisymmetric, of even size d+1+k, and invertible
     exactly where the form is contact.  One pass gives K's rows (see
-    _ambient_rows).  Where _schur_route holds (k >= 1 and a mapped form
+    _ambient_rows).  Where _schur_route holds (k = 1 or 3 and a mapped form
     with invertible Omega) the field solves the (k+1) x (k+1) Schur
     complement S = B Omega^-1 B^T of K (see _schur_solve).  Elsewhere K
     is inverted once (see _checked_inv): value x0 = K^-1 r and derivative
     x1 = K^-1 (r_eps - K_eps x0).  Returns (X, dH(R)) as Duals of arrays
-    (N, d) and (N,), dH(R) = 0 without h.  Raises ContactDegeneracyError
-    where K is singular, and GeometryError where an entry of K x - r
-    exceeds tol.
+    (N, d) and (N,), dH(R) = 0 without h, or as their values alone where
+    dp is None.  Raises ContactDegeneracyError where K is singular, and
+    GeometryError where an entry of K x - r exceeds tol.
     """
     if _schur_route(m):
-        alpha, _, grads, hval = _ambient_rows(m, p, dp, h)
-        return _schur_solve(m, alpha, grads, hval, tol)
+        rows, _, hval = _ambient_rows(m, p, dp, h)
+        return _schur_solve(m, rows, hval, tol)
     d = p.shape[1]
     system, rhs = _ambient_data(m, p, dp, h)
     inv = _checked_inv(system.val)
     x0 = inv @ rhs.val[..., None]
-    x1 = inv @ (rhs.eps[..., None] - system.eps @ x0)
     if tol < math.inf:
         residual = np.max(np.abs(system.val @ x0 - rhs.val[..., None]))
         if residual > tol:
             raise GeometryError(f"contact field solve residual {residual:.3e} exceeds {tol:.0e}")
+    if dp is None:
+        return x0[:, :d, 0], -x0[:, d, 0]
+    x1 = inv @ (rhs.eps[..., None] - system.eps @ x0)
     return Dual(x0[:, :d, 0], x1[..., :d, 0]), Dual(-x0[:, d, 0], -x1[..., d, 0])
 
 

@@ -1,6 +1,7 @@
 """Contact volume integrals: grids on tori, quasi-random sampling elsewhere."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +178,25 @@ def test_exact_chunk_sum_raises_like_fsum():
     with pytest.raises(OverflowError):
         math.fsum(x)
     assert _chunked_sum(x, 1) == big
+
+
+def test_standard_error_forms_the_spread_exactly():
+    # 1e8 + (0, 1) over 1024 nodes: count sum v^2 - (sum v)^2 = 1024^2 / 4,
+    # which total_sq / count - mean^2 would cancel to zero
+    nodes = np.tile([[0.0], [1.0]], (512, 1))
+    res = engine.apply_rule(lambda block: 1e8 + block[:, 0], (nodes, None, 1.0, True), seed=0)
+    assert res.value == 1024e8 + 512 and res.std_error == 16.0
+    # over several chunks and exponents, the deviation sum is the exact one rounded once
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        vals = np.ldexp(rng.standard_normal(300), rng.integers(-30, 30, 300)) + rng.normal() * 1e6
+        chunks = np.array_split(vals, 3)
+        squares = [engine._exact_sum(part) for c in chunks
+                   for part in (c * c, engine._square_error(c, c * c))]
+        got = engine._deviation_sum([engine._exact_sum(c) for c in chunks], squares, vals.size)
+        exact = [Fraction(v) for v in vals]
+        s1, s2 = sum(exact), sum(v * v for v in exact)
+        assert got == float((vals.size * s2 - s1 * s1) / vals.size)
 
 
 def test_budget_rounds_to_power_of_two():

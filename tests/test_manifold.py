@@ -539,18 +539,30 @@ def test_reflection_frame_is_the_same_alone_and_in_a_batch():
 
 
 def test_defect_and_reeb_field_are_the_same_alone_and_in_a_batch():
-    # and the contact field of a Hamiltonian without a gradient map
-    for m in _constrained_zoo() + (zoo.torus3(1),):
+    # and the contact field of a Hamiltonian without a gradient map, both
+    # fields with their derivatives along one direction, on every manifold
+    # of the Schur route and on the torus
+    for m in _constrained_zoo() + (zoo.standard_sphere(1).scaled(1.7), zoo.torus3(1)):
         h = hamiltonian(m, lambda c: c[0] * c[1] - 0.5 * c[2] * c[2] + c[1], name="h")
         for seed in (7, 8, 9):
             pts = sample(m, 64, seed=seed)
+            vecs = m.random_tangents(pts, np.random.default_rng(seed + 10))
             defect, reeb = m.contact_defect(pts), m.reeb_field(pts)
             field = hamiltonian_to_field(h, pts)
+            derivatives = (reeb_with_derivative(m, pts, vecs),
+                           hamiltonian_field_with_derivative(m, h.field, pts, vecs))
             for i in range(len(pts)):
+                where = (m.key(), seed, i)
                 alone = m.contact_defect(pts[i])
-                assert isinstance(alone, float) and alone == defect[i], (m.name, seed, i)
-                assert np.array_equal(m.reeb_field(pts[i]), reeb[i]), (m.name, seed, i)
-                assert np.array_equal(hamiltonian_to_field(h, pts[i]), field[i]), (m.name, seed, i)
+                assert isinstance(alone, float) and alone == defect[i], where
+                assert np.array_equal(m.reeb_field(pts[i]), reeb[i]), where
+                assert np.array_equal(hamiltonian_to_field(h, pts[i]), field[i]), where
+                for call, batch in zip((lambda p, v: reeb_with_derivative(m, p, v),
+                                        lambda p, v: hamiltonian_field_with_derivative(
+                                            m, h.field, p, v)), derivatives):
+                    val, eps = call(pts[i], vecs[i])
+                    assert np.array_equal(val, batch[0][i]), where
+                    assert np.array_equal(eps, batch[1][i]), where
 
 
 def test_reeb_residuals_at_a_point_are_floats(sphere, golden, cotangent, torus):
@@ -719,7 +731,8 @@ def test_schur_solve_matches_the_square_system():
     from contactkit import manifold
     from contactkit.hamiltonian import bracket
     rng = np.random.default_rng(31)
-    for m in _constrained_zoo() + (zoo.standard_sphere(1).scaled(2.5),):
+    scaled = (zoo.standard_sphere(1).scaled(2.5), zoo.standard_sphere(1).scaled(1.7))
+    for m in _constrained_zoo() + scaled:
         square = _square_system(m)
         assert manifold._schur_route(m) and not manifold._schur_route(square), m.key()
         pts = sample(m, 40, seed=31)
@@ -754,6 +767,42 @@ def test_schur_solve_matches_the_square_system():
         direct = (np.linalg.norm(system, axis=(1, 2))
                   * np.linalg.norm(np.linalg.inv(system), axis=(1, 2)))
         assert np.all(np.abs(fro - direct) <= 1e-14 * direct), m.key()
+
+
+def test_gathered_schur_inverse_matches_the_inverse_and_the_pfaffian():
+    from contactkit import manifold
+    rng = np.random.default_rng(35)
+    for size in (2, 4):
+        s = _antisymmetric(rng, 50, size)
+        pf, y = manifold._pfaffian_inverse(s, size)
+        assert np.array_equal(pf, manifold._pfaffian(lambda r, c: s[:, r, c], tuple(range(size))))
+        inv = np.linalg.inv(s)
+        assert np.max(np.abs(y + inv)) <= 1e-12 * np.max(np.abs(inv)), size
+        # S read every third column, as _schur_factor's product interleaves it
+        wide = np.zeros((50, size, 3 * size))
+        wide[..., ::3] = s
+        strided = manifold._pfaffian_inverse(wide, size, 3)
+        assert np.array_equal(strided[0], pf) and np.array_equal(strided[1], y), size
+
+
+def test_schur_solve_calls_no_mapped_constraint():
+    # every constraint mapped: the rows come from the maps, and the solve,
+    # valued or differentiated, evaluates no constraint function
+    from contactkit import manifold
+    for m in _constrained_zoo()[:-1]:
+        counted, calls = counting_constraints(m)
+        assert manifold._schur_route(counted), m.key()
+        assert all(c.gradient_map is not None for c in counted.constraints), m.key()
+        pts = sample(m, 5, seed=36)
+        vecs = m.random_tangents(pts, np.random.default_rng(36))
+        h = hamiltonian(counted, lambda c: c[0] * c[1] + c[2], name="h")
+        calls.clear()
+        counted.reeb_field(pts)
+        counted.reeb_field(pts[0])
+        hamiltonian_to_field(h, pts)
+        reeb_with_derivative(counted, pts, vecs)
+        hamiltonian_field_with_derivative(counted, h.field, pts, vecs)
+        assert calls == [], m.key()
 
 
 def test_schur_route_raises_where_the_form_is_not_contact():
