@@ -12,7 +12,7 @@ Public evaluation methods take points as arrays of shape ``(d,)`` or
 Every derivative is one evaluation of the coefficient function, seeded
 along all its directions at once (see :mod:`contactkit.dual`): the
 direction axis comes first in the eps parts, so ``gradient`` takes the
-d unit vectors, ``dmatrix`` the frame vectors and ``two_form`` the pair
+d unit vectors, ``dmatrix`` its m vectors and ``two_form`` the pair
 ``(u, w)`` in a single pass, and ``directional`` accepts vectors with
 one extra leading axis of k directions.
 """
@@ -213,16 +213,16 @@ class OneForm:
         return float(out[0]) if pts.ndim == 1 else out
 
     def dmatrix(self, pts, frame):
-        """Matrix d(form)(e_i, e_j) over a frame.
+        """Matrix d(form)(e_i, e_j) over vectors e_1, ..., e_m.
 
-        pts (N, d) with frame (N, m, d) gives (N, m, m); a point (d,) with
-        a frame (m, d) gives (m, m).  One AD pass carries all m frame
-        vectors.  The work runs on planes, the point index last: the frame
-        as F = frame.transpose(2, 1, 0), (d, m, N), which is contiguous
-        for a tangent_frame and copied otherwise, the derivatives of the
-        d coefficients along it as E (d, m, N), and D = A - A^T with
-        A = sum_b E_b (x) F_b summed in index order.  The result is the
-        (N, m, m) view D.transpose(2, 0, 1) of the planes D (m, m, N).
+        pts (N, d) with vectors (N, m, d) gives (N, m, m); a point (d,) with
+        vectors (m, d) gives (m, m).  One AD pass carries all m vectors.
+        The work runs on planes, the point index last: the vectors as
+        F = frame.transpose(2, 1, 0), (d, m, N), made contiguous, the
+        derivatives of the d coefficients along them as E (d, m, N), and
+        D = A - A^T with A = sum_b E_b (x) F_b summed in index order.  The
+        result is the (N, m, m) view D.transpose(2, 0, 1) of the planes
+        D (m, m, N).  On the identity, m = d, it is d alpha's matrix.
         """
         pts = np.asarray(pts, dtype=float)
         frame = np.asarray(frame, dtype=float)

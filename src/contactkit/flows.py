@@ -28,7 +28,7 @@ from .integrate import IntegralResult, contact_volume, integrate
 from .manifold import (
     ContactManifold,
     GeometryError,
-    _normal_part,
+    _tangent_project,
     hamiltonian_field_with_derivative,
     reeb_with_derivative,
 )
@@ -295,14 +295,6 @@ def _transport_supplier(m: ContactManifold, generator) -> Callable:
     raise TypeError(f"cannot transport along {generator!r}")
 
 
-def _tangent_project(m: ContactManifold, pts: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of v onto the tangent spaces at pts."""
-    if not m.constraints:
-        return v
-    g = m.constraint_gradients(pts)
-    return v - _normal_part(g, np.einsum("nka,na->nk", g, v))
-
-
 def transported_flow(m: ContactManifold, generator, starts, vectors, T: float,
                      steps: Optional[int] = None) -> tuple:
     """Flow points and transported tangent vectors: the variational equation.
@@ -320,7 +312,7 @@ def transported_flow(m: ContactManifold, generator, starts, vectors, T: float,
 
     def project(state):
         pts = m.project(state[0])
-        return np.stack([pts, _tangent_project(m, pts, state[1])])
+        return np.stack([pts, _tangent_project(m.constraint_gradients(pts), state[1])])
 
     # state[0] holds the points and state[1] the vectors
     x, v = _rk4(lambda state: np.stack(supplier(state[0], state[1])),

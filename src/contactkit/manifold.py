@@ -5,27 +5,22 @@ A manifold of dimension 2n+1 is described by ambient constraint fields
 restriction is the contact form.  All pointwise operations accept
 single points ``(d,)`` or batches ``(N, d)``.
 
-Conventions.  Tangent frames are orthonormal and oriented so that the
-constraint gradients followed by the frame give a positively oriented
-ambient basis, times a per-manifold sign chosen by the constructors to
-make the contact volume density positive; they come from Householder
-reflections of the gradients (see tangent_frame).  The contact defect at
-a point is alpha ^ (d alpha)^n on the oriented orthonormal frame, strictly
-positive for a contact form.  A mapped form on a manifold with
-constraints (the spheres, the ellipsoids, both cotangent bundles) takes it
-from ambient Pfaffians without a frame (see _ambient_density); the k = 0
-charts and unmapped forms take n! Pf([[0, a], [-a^T, D]]) on the frame,
-a and D the values of alpha and d alpha there.
+Conventions.  frame_sign orients the manifold: an ordered basis v of a
+tangent space is positive where det [G; v], the constraint gradients G
+followed by v, has the sign of frame_sign, which the constructors choose
+to make the contact volume density positive (on a free chart det v
+alone).  The contact defect at a point is alpha ^ (d alpha)^n on a
+positive orthonormal tangent basis, strictly positive for a contact form.
+It comes from ambient Pfaffians (see _ambient_density): of the Schur
+complement of the contact system K where _schur_route holds, and of K
+itself everywhere else.
 
-Storage.  The batched frame data is kept component-major, the point
-index last and contiguous: the frame as planes F (d, 2n+1, N), alpha's
-values as a (2n+1, N) and d alpha as D (2n+1, 2n+1, N), so each step is
-an array operation over N values.  tangent_frame and OneForm.dmatrix
-return the views F.transpose(2, 1, 0), (N, 2n+1, d), and
-D.transpose(2, 0, 1), (N, 2n+1, 2n+1); transposing them back gives the
-planes without a copy.  Sums over a component axis run in a fixed order
-of whole-plane additions (see _dot, _affine_planes), so a point gives
-the same bits alone as in a batch.
+Storage.  The densities keep ambient data component-major, the point
+index last and contiguous: the Schur route's rows B as planes (k+1, d, N),
+K as planes (d+1+k, d+1+k, N); OneForm.dmatrix works on planes D (m, m, N)
+and returns the view D.transpose(2, 0, 1), (N, m, m).  Sums over a
+component axis run in a fixed order of whole-plane additions (see _dot,
+_affine_planes), so a point gives the same bits alone as in a batch.
 
 Constraints.  A constraint with a gradient_map (G, g0) is the quadratic
 c(x) = x . (grad c(x) + g0) / 2 + c(0), grad c(x) = x @ G + g0, with G
@@ -42,17 +37,18 @@ and the constraints (see _contact_solve).  One pass builds its rows (see
 _ambient_rows): where the constraints and the form are mapped, the rows
 B = [G; alpha] are one product with their maps side by side, stacked once
 per manifold.  K is invertible exactly where the form is contact.  The
-manifolds whose density comes from ambient Pfaffians (see _schur_route)
-solve K through its (k+1) x (k+1) Schur complement S = B Omega^-1 B^T in
-closed form (see _schur_solve): one more product with the form's
-constants, taken once when the form is built (see _omega_factors), gives
-S and the blocks of K's Frobenius product, and one gather of S's entries
-gives Pf(S) and S^-1 (see _schur_factor).  A derivative solve shares
+manifolds of _schur_route (k = 1 or 3 constraints and a mapped form with
+invertible d alpha) solve K through its (k+1) x (k+1) Schur complement
+S = B Omega^-1 B^T in closed form (see _schur_solve): one more product with
+the form's constants, taken once when the form is built (see
+_omega_factors), gives S and the blocks of K's Frobenius product, and one
+gather of S's entries gives Pf(S) and S^-1 (see _schur_factor).  A derivative solve shares
 that path; a value-only solve skips its derivative part and returns
 plain arrays.  The k = 0 charts and unmapped forms invert K once per call
-(see _ambient_data, _checked_inv).  The frame serves the density of the
-k = 0 charts and of unmapped forms, random_tangents, and reeb_residuals,
-which checks the ambient solve independently.
+(see _ambient_data, _checked_inv).  Tangent vectors are projected from the
+constraint gradients (see _tangent_project), and reeb_residuals checks
+the solve against the seeded d alpha, independently of K.  tangent_frame
+is a reference for tests; no computation here uses it.
 """
 
 from __future__ import annotations
@@ -64,7 +60,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dual import Dual, _unit_seeds, epsilon, seed, value
+from .dual import Dual, epsilon, seed, value
 from .fields import OneForm, ScalarField, _filled, _stack
 
 
@@ -170,6 +166,14 @@ def _normal_part(grads: np.ndarray, b: np.ndarray) -> np.ndarray:
     if grads.shape[1] == 1:
         return grads[:, 0] * (b / gram[:, 0])
     return np.einsum("ni,nia->na", np.linalg.solve(gram, b[..., None])[..., 0], grads)
+
+
+def _tangent_project(grads: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The orthogonal projection v - G^T (G G^T)^-1 G v of vectors v (N, d)
+    onto the tangent spaces of gradients G (N, k, d), v itself for k = 0."""
+    if not grads.shape[1]:
+        return v
+    return v - _normal_part(grads, np.einsum("nka,na->nk", grads, v))
 
 
 @dataclass(frozen=True)
@@ -363,56 +367,35 @@ class ContactManifold:
     # frames and the contact structure
 
     def tangent_frame(self, pts) -> np.ndarray:
-        """Oriented orthonormal tangent frames, shape (N, 2n+1, d), or
-        (2n+1, d) at a point (d,).
+        """Positive orthonormal tangent frames, shape (N, 2n+1, d), or
+        (2n+1, d) at a point (d,): a reference for tests, which no
+        computation of the package uses.
 
-        k Householder reflections take the constraint gradients G to
-        Q^T G^T = R with Q^T = H_{k-1} ... H_0 (none on a free chart); rows
-        k... of Q^T are the frame.  det [G; frame] has the sign of
-        prod_j R_jj (-1)^k, so the last row is flipped where that times
-        frame_sign is negative.  Deterministic in the input point.  Raises
-        DegenerateFrameError when the constraint gradients lose rank (see
-        _gradient_volume).
-
-        The reflections act on planes P[c, r] = Q^T[r, c], (d, d, N); the
-        frame is stored as the contiguous planes F (d, 2n+1, N) and
-        returned as the view F.transpose(2, 1, 0).
+        The rows k... of Q^T in the complete QR factorisation G^T = Q R of
+        the constraint gradients are the frame, the identity on a free
+        chart; the last row is flipped where det [G; frame] frame_sign < 0.
+        Raises DegenerateFrameError when the constraint gradients lose rank
+        (see _gradient_volume).
         """
         pts = np.asarray(pts, dtype=float)
         scalar = pts.ndim == 1
         q = np.atleast_2d(pts)
-        n_pts, d = q.shape
-        k = len(self.constraints)
+        k, d = len(self.constraints), q.shape[1]
         if k == 0 and d != self.dim:
             raise GeometryError("free chart dimension mismatch")
         grads = self.constraint_gradients(q)
         if k:
             _gradient_volume(grads.transpose(1, 2, 0))
-        planes, orient = _unit_seeds(d, 1), float(self.frame_sign)
-        for j in range(k):
-            g = grads[:, j].T
-            x = _dot(g[:, None], planes) if j else g.copy()
-            x[:j] = 0.0  # H_{j-1} ... H_0 g_j with its first j entries cut
-            norm = np.sqrt(_dot(x, x))
-            # v = x + s |x| e_j reflects x to R_jj e_j, R_jj = -s |x|; w = 2 v / |v|^2
-            s = np.copysign(1.0, x[j])
-            orient *= s
-            shift = s * norm
-            x[j] += shift
-            w = x / (shift * x[j])
-            # Q^T - w (v^T Q^T) on planes, P[c, r] - (v^T Q^T)_c w_r, written
-            # over the product
-            update = (_dot(x[:, None], planes.swapaxes(0, 1)) if j else x)[:, None] * w
-            planes = np.subtract(planes, update, out=update)
-        frame = np.empty((d, d - k, n_pts))
-        frame[:] = planes[:, k:]
-        frame[:, -1] *= orient
-        frame = frame.transpose(2, 1, 0)
+            frame = np.linalg.qr(grads.swapaxes(1, 2), mode="complete")[0][..., k:].swapaxes(1, 2)
+        else:
+            frame = np.repeat(np.eye(d)[None], len(q), axis=0)
+        flip = np.linalg.det(np.concatenate([grads, frame], axis=1)) * self.frame_sign < 0.0
+        frame[flip, -1] *= -1.0
         return frame[0] if scalar else frame
 
     def contact_defect(self, pts) -> np.ndarray:
-        """alpha ^ (d alpha)^n on the oriented orthonormal frame, from ambient
-        data where _ambient_density applies and on tangent_frame otherwise.
+        """alpha ^ (d alpha)^n on a positive orthonormal tangent basis, from
+        ambient Pfaffians (see _ambient_density).
 
         Positive everywhere for a contact form; the caller decides what
         to do with non-positive values.  Raises DegenerateFrameError where
@@ -423,38 +406,46 @@ class ContactManifold:
         q = np.atleast_2d(pts)
         try:
             out = self._ambient_density(q)
-            if out is None:
-                frame = self.tangent_frame(q)
-                # alpha in the frame and the d alpha matrix as planes (2n+1, N), (2n+1, 2n+1, N)
-                a = _dot(self.form.coefficients(q).T[:, None], frame.transpose(2, 1, 0))
-                out = _bordered_wedge(a, self.form.dmatrix(q, frame).transpose(1, 2, 0), self.n)
         except GeometryError:
             raise
         except (FloatingPointError, ValueError, ZeroDivisionError, OverflowError):
             out = np.full(q.shape[0], np.nan)
         return float(out[0]) if scalar else out
 
-    def _ambient_density(self, q: np.ndarray) -> Optional[np.ndarray]:
-        """alpha ^ (d alpha)^n at points q (N, d) from ambient data, or None
-        where the frame serves it: no constraints, no coefficient_map (W, w0),
-        or Omega = d alpha = W - W^T singular (see _schur_route).  Omega^-1 and
-        Pf(Omega) are the form's, taken once when it is built.
+    def _ambient_density(self, q: np.ndarray) -> np.ndarray:
+        """alpha ^ (d alpha)^n at points q (N, d) from ambient data.
 
-        With gradients G, B = [G; alpha] and S = B Omega^-1 B^T, it is
-        (-1)^(k(k+1)/2) frame_sign n! Pf(Omega) Pf(S) / sqrt det(G G^T).  The
-        sign: the power k+1+n of sum_i dt_i ^ B_i + d alpha on R^(k+1) x R^d
-        gives dg_1 ^ ... ^ dg_k ^ alpha ^ (d alpha)^n = (-1)^(k(k+1)/2) n!
-        Pf([[0, B], [-B^T, Omega]]) dx.  Moving the border last, of sign
-        (-1)^((k+1)d) = (-1)^(k+1), and the Schur complement make that
-        Pfaffian (-1)^(k+1) Pf(Omega) Pf(S), and k is odd as d is even.  On
-        [N; frame], N orthonormal rows spanning G's, the d-form reads det(G N^T)
-        times the density and det[N; frame] times its coefficient; as
-        det[G; frame] = frame_sign sqrt det(G G^T) (see tangent_frame), the
-        density is the coefficient times frame_sign / sqrt det(G G^T).
+        With gradients G, B = [G; alpha] and M = [[0, B], [-B^T, Omega]],
+        Omega = d alpha, it is (-1)^(k(k+1)/2) frame_sign n! Pf(M) /
+        sqrt det(G G^T), sqrt det = 1 for k = 0.  The sign: the power k+1+n
+        of sum_i dt_i ^ B_i + d alpha on R^(k+1) x R^d gives
+        dg_1 ^ ... ^ dg_k ^ alpha ^ (d alpha)^n = (-1)^(k(k+1)/2) n! Pf(M) dx.
+        On [N; F], N orthonormal rows spanning G's and F a positive
+        orthonormal tangent basis, that d-form reads det(G N^T) times the
+        density and det[N; F] = +-1 times Pf(M)'s coefficient; as
+        G = (G N^T) N, det[G; F] = det(G N^T) det[N; F], and F is positive,
+        det[G; F] = frame_sign sqrt det(G G^T), so the density is the
+        coefficient times frame_sign / sqrt det(G G^T).
+
+        Where _schur_route holds, Omega^-1 and Pf(Omega) are the form's,
+        taken once when it is built, and with S = B Omega^-1 B^T, moving
+        the border last, of sign (-1)^((k+1)d) = (-1)^(k+1), and the Schur
+        complement make Pf(M) = (-1)^(k+1) Pf(Omega) Pf(S), and k is odd as
+        d is even.  Everywhere else Pf(M) is summed over the matchings of
+        the square system K of _ambient_data (values only): its indices in
+        the order constraints, alpha, ambient coordinates read M, a
+        permutation of sign -1, so Pf(M) = -Pf(K).  For k = 0, M is the
+        bordered matrix [[0, alpha], [-alpha^T, Omega]].
         """
+        form, k, d = self.form, len(self.constraints), self.ambient_dim
+        sign = (-1) ** (k * (k + 1) // 2) * self.frame_sign * math.factorial(self.n)
         if not _schur_route(self):
-            return None
-        form, k = self.form, len(self.constraints)
+            if k == 0 and q.shape[1] != self.dim:
+                raise GeometryError("free chart dimension mismatch")
+            planes = np.ascontiguousarray(_ambient_data(self, q, None)[0].val.transpose(1, 2, 0))
+            volume = _gradient_volume(planes[d + 1:, :d]) if k else 1.0
+            order = tuple(range(d + 1, d + 1 + k)) + (d,) + tuple(range(d))
+            return sign * _pfaffian(lambda r, c: planes[r, c], order) / volume
         inv, form_map = form.omega_inv, form.coefficient_map
         x = np.ascontiguousarray(q.T)
         rows, coords = np.empty((k + 1,) + x.shape), None
@@ -472,7 +463,6 @@ class ContactManifold:
         # solve uses (S^3 at 2^16 points: about 7 against 95 ms)
         solved = [_affine_planes((inv.T, np.zeros(len(inv))), b) for b in rows[1:]]
         schur = {(r, c): _dot(rows[r], s) for c, s in enumerate(solved, 1) for r in range(c)}
-        sign = (-1) ** (k * (k + 1) // 2) * self.frame_sign * math.factorial(self.n)
         pf = _pfaffian(lambda r, c: schur[r, c], tuple(range(k + 1)))
         return sign * form.omega_pfaffian * pf / volume
 
@@ -485,17 +475,20 @@ class ContactManifold:
 
     def reeb_residuals(self, pts) -> dict:
         """Defining-equation residuals of the computed Reeb field: (N,)
-        arrays, or floats at a point (d,).  The pairing with d alpha is
-        taken over the tangent frame, independently of the ambient solve."""
+        arrays, or floats at a point (d,).  The pairing is the largest entry
+        of the tangent part of R _| d alpha (see _tangent_project), d alpha
+        from one seeded pass of the form's coefficient function (see
+        OneForm.dmatrix), independently of the ambient solve; one gradient
+        pass serves it and the tangency."""
         q = np.atleast_2d(np.asarray(pts, dtype=float))
-        frame, reeb = self.tangent_frame(q), self.reeb_field(q)
+        reeb, grads = self.reeb_field(q), self.constraint_gradients(q)
         alpha_res = np.abs(self.form(q, reeb) - 1.0)
-        # d alpha over the frame (R, e_1, ..., e_m): its first row is d alpha(R, e_i)
-        pairing = self.form.dmatrix(q, np.concatenate([reeb[:, None], frame], axis=1))[:, 0, 1:]
+        d = q.shape[1]
+        dmat = self.form.dmatrix(q, np.broadcast_to(np.eye(d), (len(q), d, d)))
+        pairing = _tangent_project(grads, np.einsum("na,nab->nb", reeb, dmat))
         pair_res = np.max(np.abs(pairing), axis=1)
         tang_res = np.zeros(q.shape[0])
         if self.constraints:
-            grads = self.constraint_gradients(q)
             tang_res = np.max(np.abs(np.einsum("nka,na->nk", grads, reeb)), axis=1)
         res = {"alpha": alpha_res, "pairing": pair_res, "tangency": tang_res}
         return {name: float(v[0]) for name, v in res.items()} if np.ndim(pts) == 1 else res
@@ -509,13 +502,23 @@ class ContactManifold:
         return self.test_sampler(self, count, rng)
 
     def random_tangents(self, pts, rng) -> np.ndarray:
-        """Unit tangent vectors at pts, Gaussian projected to TM."""
+        """Unit tangent vectors at pts: Gaussian draws from rng projected to
+        TM (see _tangent_project).  A row whose tangent part is at most 1e-8
+        of its draw, a draw normal to M up to rounding, is drawn again.
+        Raises DegenerateFrameError where the constraint gradients lose rank
+        (see _gradient_volume)."""
         q = np.atleast_2d(np.asarray(pts, dtype=float))
-        v = rng.normal(size=q.shape)
+        grads = self.constraint_gradients(q)
         if self.constraints:
-            frame = self.tangent_frame(q)
-            v = np.einsum("ni,nia->na", np.einsum("nia,na->ni", frame, v), frame)
-        v /= np.linalg.norm(v, axis=1)[:, None]
+            _gradient_volume(grads.transpose(1, 2, 0))
+        draw = rng.normal(size=q.shape)
+        v = _tangent_project(grads, draw)
+        norm = np.linalg.norm(v, axis=1)
+        normal = norm <= 1e-8 * np.linalg.norm(draw, axis=1)
+        norm[normal] = 1.0
+        v /= norm[:, None]
+        if normal.any():
+            v[normal] = self.random_tangents(q[normal], rng)
         return v if np.asarray(pts).ndim > 1 else v[0]
 
 
@@ -531,10 +534,11 @@ def _matchings(idx: tuple) -> tuple:
 
 
 def _pfaffian(entry: Callable, idx: tuple):
-    """Pf of the antisymmetric matrix over the indices idx, of even length, from
-    its entries entry(r, c), r < c, numbers or planes, summed over its
-    matchings, products in pair order; 1.0 for no indices.  The first
-    matching's sign is +1, and the sum starts from its term."""
+    """Pf of the antisymmetric matrix over the indices idx, of even length, in
+    their order, from its entries entry(r, c), r before c in idx, numbers or
+    planes, summed over its matchings, products in pair order; 1.0 for no
+    indices.  The first matching's sign is +1, and the sum starts from its
+    term."""
     total = None
     for sign, pairs in _matchings(idx):
         term = entry(*pairs[0]) if pairs else 1.0
@@ -542,18 +546,6 @@ def _pfaffian(entry: Callable, idx: tuple):
             term = term * entry(*pair)
         total = term if total is None else total + term if sign > 0 else total - term
     return total
-
-
-def _bordered_wedge(a: np.ndarray, dmat: np.ndarray, n: int) -> np.ndarray:
-    """alpha ^ (d alpha)^n on a frame from alpha values and the d alpha matrix.
-
-    Equals n! Pf(B) for the bordered matrix B = [[0, a], [-a^T, D]], each
-    entry read from a (a pair (0, i) is a_{i-1}) or from D, without
-    forming B.  Both are planes with the point index last, a (2n+1, N)
-    and D (2n+1, 2n+1, N), so each entry is a contiguous row of N values.
-    """
-    return math.factorial(n) * _pfaffian(
-        lambda r, c: dmat[r - 1, c - 1] if r else a[c - 1], tuple(range(2 * n + 2)))
 
 
 # the ambient contact solve, differentiable through dual seeding.  Batched

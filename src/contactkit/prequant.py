@@ -334,20 +334,24 @@ def euler_number(preq: Prequantization) -> dict:
     """The bundle's integer invariant: total omega over 2 pi.
 
     Exact given the fitted omega (the base integral of a constant needs
-    no sampling).  Reported with the nearest integer and a warning when
-    the fiber period is not 2 pi, in which case the raw value is off by
-    the period ratio.
+    no sampling).  Reported with the nearest integer and its distance.
+    Where the fiber period is not 2 pi the raw value is off by the period
+    ratio and need not be near an integer (the raw Hopf bundle gives 1/2,
+    whose nearest integer follows its last bit), so nearest and defect are
+    None and a warning says why.
     """
     val = preq.omega_total / (2.0 * math.pi)
-    nearest = round(val)
-    warning = None
-    if not preq.normalized:
+    nearest = defect = warning = None
+    if preq.normalized:
+        nearest = round(val)
+        defect = abs(val - nearest)
+    else:
         warning = (f"fiber period is {preq.fiber_period:.6g}, not 2*pi; "
                    "value reflects the raw form scaling")
     return {
         "value": val,
-        "nearest": int(nearest),
-        "defect": abs(val - nearest),
+        "nearest": nearest,
+        "defect": defect,
         "normalized": preq.normalized,
         "warning": warning,
     }

@@ -14,9 +14,8 @@ from contactkit.chernweil import (diagonal_torus_action, moment_field, torus_shi
 from contactkit.dual import Dual, epsilon, seed
 from contactkit.fields import OneForm, ScalarField
 from contactkit.manifold import (ContactDegeneracyError, ContactManifold, DegenerateFrameError,
-                                 ProjectionError, _ambient_data, _bordered_wedge, _matchings,
-                                 _normal_part,
-                                 hamiltonian_field_with_derivative,
+                                 GeometryError, ProjectionError, _ambient_data, _matchings,
+                                 _normal_part, _pfaffian, hamiltonian_field_with_derivative,
                                  reeb_with_derivative)
 from contactkit.hamiltonian import hamiltonian, hamiltonian_to_field
 from conftest import counting_constraints, sample
@@ -44,6 +43,10 @@ def test_torus_defect_equals_winding():
         m = zoo.torus3(k)
         pts = sample(m, 100, seed=k)
         assert np.allclose(m.contact_defect(pts), float(k), atol=1e-12)
+    # points of another dimension on a free chart
+    for call in (m.contact_defect, m.tangent_frame):
+        with pytest.raises(GeometryError, match="free chart dimension mismatch"):
+            call(np.zeros((2, 4)))
 
 
 def test_weighted_and_cotangent_defects_positive(golden, cotangent):
@@ -216,6 +219,7 @@ def test_hamiltonian_field_derivative_matches_finite_difference(golden):
 
 def test_each_call_builds_its_contact_system_once(golden, torus, monkeypatch):
     from contactkit import manifold
+    from contactkit.flows import strictness_check
     from contactkit.hamiltonian import bracket, bracket_hamiltonian
     counts = {"frame": 0, "rows": 0, "ambient": 0, "factor": 0}
     tangent_frame = manifold.ContactManifold.tangent_frame
@@ -265,13 +269,21 @@ def test_each_call_builds_its_contact_system_once(golden, torus, monkeypatch):
         assert builds(lambda: m.reeb_field(pts[0])) == once, m.name
         assert builds(lambda: hamiltonian_to_field(h1, pts)) == once, m.name
         assert builds(lambda: bracket(h1, h2, pts)) == once, m.name
-        # the residuals pair the solved field with d alpha over the frame
-        assert builds(lambda: m.reeb_residuals(pts)) == (1,) + once[1:], m.name
+        # the residuals pair the solved field with the seeded d alpha
+        assert builds(lambda: m.reeb_residuals(pts)) == once, m.name
         assert builds(lambda: reeb_with_derivative(m, pts, vecs)) == once, m.name
         assert builds(lambda: hamiltonian_field_with_derivative(m, h1.field, pts, vecs)) == once
         nested = bracket_hamiltonian(h1, h2)
         assert builds(lambda: nested.field.directional(pts, vecs)) == once, m.name
     assert svds == []
+    # no computation builds a frame: the Schur density builds no square
+    # system, K's Pfaffian one, neither inverts it, and tangents are projected
+    square = _square_system(golden)
+    for m, once in ((golden, (0, 0, 0, 0)), (square, (0, 1, 1, 0)), (torus, (0, 1, 1, 0))):
+        pts = sample(m, 5)
+        assert builds(lambda: m.contact_defect(pts)) == once, m.key()
+        assert builds(lambda: m.random_tangents(pts, np.random.default_rng(2))) == (0, 0, 0, 0)
+        assert builds(lambda: strictness_check(m, None, 0.01, samples=3, steps=2))[0] == 0
     pts = sample(golden, 5)
     vecs = golden.random_tangents(pts, np.random.default_rng(2))
 
@@ -452,12 +464,10 @@ def _cofactor_wedge(a, dmat, n):
     return total
 
 
-def _pfaffian(mat):
-    """Pf(M) = Pf([[0, a], [-a^T, D]]) from the bordered wedge, a = M[0, 1:],
-    passed as planes with the point index last."""
-    m = mat.shape[-1] // 2
+def _planes_pfaffian(mat):
+    """Pf of matrices (N, size, size) by manifold._pfaffian on their planes."""
     planes = mat.transpose(1, 2, 0)
-    return _bordered_wedge(planes[0, 1:], planes[1:, 1:], m - 1) / math.factorial(m - 1)
+    return _pfaffian(lambda r, c: planes[r, c], tuple(range(mat.shape[-1])))
 
 
 def _antisymmetric(rng, count, size):
@@ -467,24 +477,35 @@ def _antisymmetric(rng, count, size):
 
 def test_pfaffian_squares_to_the_determinant():
     rng = np.random.default_rng(21)
-    for size in (2, 4, 6, 8):
+    for size in (2, 4, 6, 8, 10):
         mat = _antisymmetric(rng, 40, size)
-        pf = _pfaffian(mat)
+        pf = _planes_pfaffian(mat)
         det = np.linalg.det(mat)
         assert np.allclose(pf * pf, det, rtol=1e-10, atol=1e-12 * np.max(np.abs(det))), size
         assert np.allclose(pf, _cofactor_pfaffian(mat), rtol=1e-12, atol=1e-12), size
+    # numbers as entries, and Pf = 1 over no indices
+    entries = mat[0].tolist()
+    assert _pfaffian(lambda r, c: entries[r][c], tuple(range(10))) == pf[0]
+    assert _pfaffian(lambda r, c: entries[r][c], ()) == 1.0
 
 
 def test_pfaffian_of_standard_symplectic_form_and_odd_swap():
     rng = np.random.default_rng(22)
     for size in (2, 4, 6, 8):
         j = np.kron(np.eye(size // 2), [[0.0, 1.0], [-1.0, 0.0]])
-        assert np.allclose(_pfaffian(j[None]), 1.0, atol=1e-15), size
+        assert np.allclose(_planes_pfaffian(j[None]), 1.0, atol=1e-15), size
         mat = _antisymmetric(rng, 10, size)
         perm = np.arange(size)
         perm[[0, size - 1]] = perm[[size - 1, 0]]
         swapped = mat[:, perm][:, :, perm]
-        assert np.allclose(_pfaffian(swapped), -_pfaffian(mat), rtol=1e-12, atol=1e-12), size
+        assert np.allclose(_planes_pfaffian(swapped), -_planes_pfaffian(mat), rtol=1e-12,
+                           atol=1e-12), size
+        # the indices in another order read the reordered matrix, with its bits
+        planes = mat.transpose(1, 2, 0)
+        order = tuple(int(i) for i in rng.permutation(size))
+        reordered = mat[:, order][:, :, order]
+        assert np.array_equal(_pfaffian(lambda r, c: planes[r, c], order),
+                              _planes_pfaffian(reordered)), size
 
 
 def test_matching_count_is_the_double_factorial():
@@ -495,13 +516,18 @@ def test_matching_count_is_the_double_factorial():
 
 
 def test_contact_defect_matches_the_cofactor_recursion(sphere, sphere5, golden, cotangent):
-    for m in (sphere, sphere5, zoo.standard_sphere(3), golden, cotangent):
-        pts = sample(m, 300, seed=4)
+    # the oracle reads alpha and d alpha on the reference frame: the Schur
+    # route, K's Pfaffian on the tori, the square systems and the k = 2 cut sphere
+    schur = (sphere, sphere5, zoo.standard_sphere(3), golden, cotangent)
+    cases = [(m, sample(m, 300, seed=4)) for m in schur + tuple(zoo.torus3(w) for w in (1, 2, 3))]
+    cases += [(_square_system(m), sample(m, 300, seed=4)) for m in _constrained_zoo()]
+    cases.append(_cut_sphere(300))
+    for m, pts in cases:
         frame = m.tangent_frame(pts)
         a = np.einsum("na,nia->ni", m.form.coefficients(pts), frame)
         oracle = _cofactor_wedge(a, m.form.dmatrix(pts, frame), m.n)
         defect = m.contact_defect(pts)
-        assert np.max(np.abs(defect - oracle) / np.abs(oracle)) <= 1e-12, m.name
+        assert np.max(np.abs(defect - oracle) / np.abs(oracle)) <= 1e-12, m.key()
 
 
 def _constrained_zoo():
@@ -541,10 +567,12 @@ def test_reflection_frame_is_the_same_alone_and_in_a_batch():
 def test_defect_and_reeb_field_are_the_same_alone_and_in_a_batch():
     # and the contact field of a Hamiltonian without a gradient map, both
     # fields with their derivatives along one direction, on every manifold
-    # of the Schur route and on the torus
-    for m in _constrained_zoo() + (zoo.standard_sphere(1).scaled(1.7), zoo.torus3(1)):
+    # of the Schur route, on the torus and on the square systems
+    cases = [(m, (7, 8, 9)) for m in _constrained_zoo()
+             + (zoo.standard_sphere(1).scaled(1.7), zoo.torus3(1))]
+    for m, seeds in cases + [(_square_system(m), (7,)) for m in _constrained_zoo()]:
         h = hamiltonian(m, lambda c: c[0] * c[1] - 0.5 * c[2] * c[2] + c[1], name="h")
-        for seed in (7, 8, 9):
+        for seed in seeds:
             pts = sample(m, 64, seed=seed)
             vecs = m.random_tangents(pts, np.random.default_rng(seed + 10))
             defect, reeb = m.contact_defect(pts), m.reeb_field(pts)
@@ -592,10 +620,24 @@ def test_reflection_frame_rank_loss_raises_without_warning(sphere, golden, cotan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for pts in (bad, batch):
-                with pytest.raises(DegenerateFrameError):
-                    m.tangent_frame(pts)
-                with pytest.raises(DegenerateFrameError):
-                    m.contact_defect(pts)
+                for call in (m.tangent_frame, m.contact_defect, _square_system(m).contact_defect,
+                             lambda p: m.random_tangents(p, np.random.default_rng(9))):
+                    with pytest.raises(DegenerateFrameError):
+                        call(pts)
+
+
+def test_random_tangents_redraw_a_draw_normal_to_the_manifold(sphere):
+    # S^3's sampler normalizes a Gaussian draw, so the same seed draws each
+    # point's own direction: no tangent part above rounding
+    pts = sphere.random_points(64, np.random.default_rng(7))
+    draw = np.random.default_rng(7).normal(size=pts.shape)
+    tangent = draw - np.sum(draw * pts, axis=1)[:, None] * pts
+    assert np.all(np.linalg.norm(tangent, axis=1) <= 1e-8 * np.linalg.norm(draw, axis=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vecs = sphere.random_tangents(pts, np.random.default_rng(7))
+    assert np.max(np.abs(np.linalg.norm(vecs, axis=1) - 1.0)) <= 1e-15
+    assert np.max(np.abs(np.einsum("nka,na->nk", sphere.constraint_gradients(pts), vecs))) <= 1e-15
 
 
 # quadratic constraints: gradients from their affine maps
@@ -675,31 +717,38 @@ def _unmapped(m):
                    constraints=tuple(ScalarField(c.fn, c.dim, c.name) for c in m.constraints))
 
 
-def test_ambient_density_matches_the_frame_density():
-    # a form without a map takes the bordered Pfaffian on the tangent frame
+def test_schur_density_matches_the_pfaffian_of_k():
+    # a form without a map takes the Pfaffian of the square system K
     cases = _constrained_zoo() + (zoo.standard_sphere(1).scaled(2.5),)
     for m in cases:
         assert m.form.coefficient_map is not None, m.key()
-        framed = replace(m, form=OneForm(m.form.coef_fn, m.ambient_dim, m.form.name))
         pts = sample(m, 300, seed=24)
-        ambient, frame = m.contact_defect(pts), framed.contact_defect(pts)
-        assert np.all(frame > 0.0), m.key()
-        assert np.max(np.abs(ambient - frame) / frame) <= 1e-14, m.key()
+        schur, square = m.contact_defect(pts), _square_system(m).contact_defect(pts)
+        assert np.all(square > 0.0), m.key()
+        assert np.max(np.abs(schur - square) / square) <= 1e-14, m.key()
     # the cotangent constructors calibrate frame_sign through contact_defect
     assert [m.frame_sign for m in cases if m.name.startswith("cotangent")] == [-1, -1]
 
 
-def test_mapped_form_with_singular_d_alpha_keeps_the_frame():
-    # S^3 cut out of R^5 by |z|^2 = 1 and x_4 = 0: d alpha is singular on R^5
+def _cut_sphere(count):
+    """S^3 cut out of R^5 by |z|^2 = 1 and x_4 = 0, its form mapped with a d alpha
+    singular on R^5, and count points on it."""
     s3 = zoo.standard_sphere(1)
     w = np.zeros((5, 5))
     w[:4, :4] = s3.form.coefficient_map[0]
     form = OneForm(lambda c: s3.form.coef_fn(c[:4]) + [0.0 * c[0]], 5,
                    coefficient_map=(w, np.zeros(5)))
     cut = (ScalarField(lambda c: s3.constraints[0].fn(c[:4]), 5), ScalarField(lambda c: c[4], 5))
-    m = ContactManifold("cut-sphere", 1, 5, form, cut)
-    pts = np.hstack([sample(s3, 50), np.zeros((50, 1))])
-    assert np.allclose(np.abs(m.contact_defect(pts)), 0.5, atol=1e-12)
+    return ContactManifold("cut-sphere", 1, 5, form, cut), np.hstack([sample(s3, count),
+                                                                      np.zeros((count, 1))])
+
+
+def test_mapped_form_with_singular_d_alpha_takes_the_pfaffian_of_k():
+    # k = 2 and d alpha singular on R^5: no Schur route, and K's Pfaffian
+    # gives the density, whose sign frame_sign = 1 fixes
+    m, pts = _cut_sphere(50)
+    assert np.allclose(m.contact_defect(pts), -0.5, atol=1e-12)
+    assert np.allclose(replace(m, frame_sign=-1).contact_defect(pts), 0.5, atol=1e-12)
 
 
 def test_ambient_data_from_maps_matches_the_seeded_pass():

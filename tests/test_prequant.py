@@ -111,6 +111,8 @@ def test_euler_number_needs_the_normalized_period(preq, preq2):
     raw = euler_number(preq)
     assert raw["value"] == pytest.approx(0.5, rel=1e-9)
     assert not raw["normalized"] and raw["warning"] is not None
+    # 1/2 has no nearest integer to report
+    assert raw["nearest"] is None and raw["defect"] is None
     fixed = euler_number(preq2)
     assert fixed["nearest"] == 1 and fixed["defect"] <= 1e-9
     assert fixed["normalized"] and fixed["warning"] is None
