@@ -3,19 +3,28 @@
 One engine serves every manifold.  The manifold's ``reference_sampler``
 (the rules live in ``zoo``) is its whole quadrature rule:
 ``reference_sampler(m, budget, seed)`` turns the evaluation budget into
-``(points, weights or None, scale, sampled)``, and the integral is
-scale * sum(f * defect * weight).  A deterministic rule, such as the
-product trapezoid grid on the flat torus (exact to roundoff once the
-per-axis node count exceeds the trigonometric bandwidth of the
-integrand), reports a zero error.  A sampled rule, scrambled Sobol
-points on a reference measure with explicit density weights, reports
-the sample standard deviation over sqrt(N) times the measure, a
-conservative figure for quasi-random points.
+``(points, weights or None, scale, sampled[, companion])``, and the
+integral is scale * sum(f * defect * weight).  What ``std_error`` means
+depends on the rule:
+
+- the toric product rule on spheres and ellipsoids, exact on moment
+  polynomials, carries a companion, the same rule at halved orders; its
+  error is the gap |Q - Q'| between the two values plus a rounding floor
+  _ROUNDING * eps * scale * sum |v|;
+- the product trapezoid grid on the flat torus, exact to roundoff once
+  the per-axis node count exceeds the trigonometric bandwidth of the
+  integrand, reports a zero error;
+- a sampled rule, scrambled Sobol points on a reference measure with
+  explicit density weights (the cotangent bundle), reports the sample
+  standard deviation over sqrt(N) times the measure, a conservative
+  figure for quasi-random points.
 
 Evaluation is chunked, optionally across a thread pool
 (``CONTACTKIT_THREADS``).  Each chunk's sums are kept exact, as an
 integer times a power of two, and the total is rounded once, which is
-what ``math.fsum`` of all the values returns.  Results are therefore
+what ``math.fsum`` of all the values returns.  A chunk sums the squares
+only for a sampled rule, and |v| only for a rule with a companion and
+only where some v is negative.  Values and errors are therefore
 bit-identical for any chunk size and any thread count.
 """
 
@@ -38,6 +47,12 @@ _CHUNK = 1 << 14
 # |hi| <= 2**27 and 0 <= lo < 2**26; per-exponent sums of fewer than
 # 2**26 of them stay below 2**53, so np.bincount adds them exactly.
 _HI_BITS, _LO_BITS = 27, 26
+_EPS = 2.0 ** -52
+# the rounding floor of a deterministic rule's error, in eps per unit of
+# sum |v|: the Schur density n! Pf(Omega) Pf(S) / |grad g| takes at most
+# 2d + 4 = 20 roundings on S^7 (d = 8), two d-term dot products and three
+# scalings, and a toric node and weight about 12 more
+_ROUNDING = 32.0
 
 
 @dataclass(frozen=True)
@@ -87,51 +102,80 @@ def integrate(m: ContactManifold, f: ScalarField, budget: int = 1 << 17,
 def apply_rule(integrand: Callable, rule: tuple, seed: int,
                threads: Optional[int] = None) -> IntegralResult:
     """scale * sum(integrand * weight) over the nodes of a rule
-    (points, weights or None, scale, sampled); a sampled rule's error is
-    the iid standard error, a deterministic rule's is zero.  The sum of the
+    (points, weights or None, scale, sampled[, companion]), with its error.
+
+    A sampled rule's error is the iid standard error.  The sum of the
     values is exact and rounded once; so is the sum of their squared
     deviations from the mean that the standard error takes (see
-    _deviation_sum).  A standard error below half an ulp of the value is
-    reported as zero."""
-    pts, weights, scale, sampled = rule
-    sums, squares, count = _eval_chunks(integrand, pts, weights, threads)
-    total = _round_sums(sums)
-    if not sampled:
-        return IntegralResult(value=scale * total, std_error=0.0,
-                              method="quadrature", samples=count, seed=None)
-    value = scale * total
-    # count * sqrt(variance / count) with variance = deviations / count
-    std_error = scale * math.sqrt(_deviation_sum(sums, squares, count))
-    if std_error < 0.5 * math.ulp(value):
-        # a spread that cannot move the value's last bit is the integrand's
-        # rounding noise, which the zero of a deterministic rule leaves out too
-        std_error = 0.0
-    return IntegralResult(value=value, std_error=std_error, method="monte-carlo",
-                          samples=count, seed=seed)
+    _deviation_sum); a standard error below half an ulp of the value is
+    reported as zero.  A deterministic rule with a companion
+    (points, weights or None, scale), a coarser rule of the same family,
+    reports |Q - Q'| between the two values plus the rounding floor
+    _ROUNDING * eps * scale * sum |v|; one without reports zero.
+    """
+    pts, weights, scale, sampled, *companion = rule
+    extra = _square_parts if sampled else _magnitude_parts if companion else None
+    (sums, parts, count), *coarse = _eval_chunks(
+        integrand, [(pts, weights)] + [c[:2] for c in companion], extra, threads)
+    value = scale * _round_sums(sums)
+    if sampled:
+        # count * sqrt(variance / count) with variance = deviations / count
+        std_error = scale * math.sqrt(_deviation_sum(sums, parts, count))
+        if std_error < 0.5 * math.ulp(value):
+            # a spread that cannot move the value's last bit is the integrand's
+            # rounding noise, which a deterministic rule's floor covers
+            std_error = 0.0
+        return IntegralResult(value=value, std_error=std_error, method="monte-carlo",
+                              samples=count, seed=seed)
+    std_error = 0.0
+    if companion:
+        coarse_value = companion[0][2] * _round_sums(coarse[0][0])
+        std_error = (abs(value - coarse_value)
+                     + _ROUNDING * _EPS * scale * _round_sums(parts))
+    return IntegralResult(value=value, std_error=std_error, method="quadrature",
+                          samples=count, seed=None)
 
 
-def _eval_chunks(integrand: Callable, pts: np.ndarray, weights,
-                 threads: Optional[int]):
-    """The exact sums (see _exact_sum) of v = integrand * weight and of v^2
-    over each _CHUNK-point chunk, and the node count.  v^2 is summed as
-    fl(v^2) and its rounding error (see _square_error), two parts per chunk."""
+def _eval_chunks(integrand: Callable, segments: list, extra: Optional[Callable],
+                 threads: Optional[int]) -> list:
+    """For each (points, weights or None) segment: the exact sums (see
+    _exact_sum) of v = integrand * weight over each _CHUNK-point chunk, the
+    exact-sum parts extra(v, sum) forms from each chunk of the first segment
+    (none for the others), and the node count.  All segments' chunks share
+    one pass and one thread pool."""
     nthreads = default_threads() if threads is None else max(1, int(threads))
-    chunks = [slice(i, min(i + _CHUNK, pts.shape[0])) for i in range(0, pts.shape[0], _CHUNK)]
+    jobs = [(i, slice(a, min(a + _CHUNK, pts.shape[0])))
+            for i, (pts, _) in enumerate(segments) for a in range(0, pts.shape[0], _CHUNK)]
 
-    def work(sl):
+    def work(job):
+        i, sl = job
+        pts, weights = segments[i]
         vals = integrand(pts[sl])
         if weights is not None:
             vals = vals * weights[sl]
-        squares = vals * vals
-        return (_exact_sum(vals), [_exact_sum(squares), _exact_sum(_square_error(vals, squares))],
-                vals.size)
+        total = _exact_sum(vals)
+        return i, total, [] if extra is None or i else extra(vals, total), vals.size
 
-    if nthreads == 1 or len(chunks) == 1:
-        stats = [work(sl) for sl in chunks]
+    if nthreads == 1 or len(jobs) == 1:
+        stats = [work(job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            stats = list(pool.map(work, chunks))
-    return [s[0] for s in stats], [p for s in stats for p in s[1]], sum(s[2] for s in stats)
+            stats = list(pool.map(work, jobs))
+    return [([s[1] for s in stats if s[0] == i], [p for s in stats if s[0] == i for p in s[2]],
+             sum(s[3] for s in stats if s[0] == i)) for i in range(len(segments))]
+
+
+def _square_parts(vals: np.ndarray, total) -> list:
+    """The exact sum of v^2 as two parts, fl(v^2) and its rounding error
+    (see _square_error), for the standard error of a sampled rule."""
+    squares = vals * vals
+    return [_exact_sum(squares), _exact_sum(_square_error(vals, squares))]
+
+
+def _magnitude_parts(vals: np.ndarray, total) -> list:
+    """The exact sum of |v| for the rounding floor: the sum of v itself
+    unless some v is negative."""
+    return [_exact_sum(np.abs(vals)) if (vals < 0.0).any() else total]
 
 
 def _square_error(vals: np.ndarray, squares: np.ndarray) -> np.ndarray:

@@ -105,8 +105,8 @@ def base_integral(preq: Prequantization, fields: Sequence, budget: int = 1 << 16
     """Integral of a product of base functions against omega.
 
     omega = omega_scale x (round area form), so the value is
-    omega_scale x 4 pi x (spherical mean of the product), sampled like
-    the round sphere's rule.
+    omega_scale x 4 pi x (spherical mean of the product), sampled at
+    scrambled Sobol points on the 2-sphere.
     """
     count = _sample_count(budget)
 

@@ -4,9 +4,14 @@ Each constructor returns a :class:`ContactManifold` carrying the
 ambient constraints, the contact form, an orientation sign making the
 contact volume density positive, a test sampler, and the quadrature
 rule ``reference_sampler(m, budget, seed) -> (points, weights or None,
-scale, sampled)`` of ``integrate``: scrambled Sobol nodes, or a product
-trapezoid grid on the flat torus.  Complex coordinates z_j = x_j + i y_j
-on R^(2n+2) are stored interleaved: (x_0, y_0, x_1, y_1, ...).
+scale, sampled[, companion])`` of ``integrate``.  Round spheres and
+ellipsoids take a deterministic toric product rule, Gauss-Jacobi on the
+simplex of the |z_j|^2 times uniform angle grids, with its coarse
+companion for the error (see _toric_reference); the flat torus takes a
+product trapezoid grid, whose error reads zero; the cotangent bundle takes
+scrambled Sobol nodes, whose error is the iid standard error.  Complex
+coordinates z_j = x_j + i y_j on R^(2n+2) are stored interleaved:
+(x_0, y_0, x_1, y_1, ...).
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
+from scipy.special import ndtri, roots_sh_jacobi
 
 from .fields import OneForm, ScalarField
 from .manifold import ContactManifold
@@ -31,6 +35,10 @@ def sphere_volume(dim_ambient: int) -> float:
 
 def _sobol_block(dim: int, count: int, seed: int) -> np.ndarray:
     """count scrambled Sobol points in [0,1)^dim; count a power of two."""
+    # imported here: only the sampled rules draw Sobol points, and importing
+    # scipy.stats takes 0.35-0.7 s on top of the rest of scipy
+    from scipy.stats import qmc
+
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
     return eng.random_base2(int(round(math.log2(count))))
 
@@ -49,6 +57,91 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1)[:, None]
 
 
+# toric product rule on spheres and ellipsoids
+
+
+@lru_cache(maxsize=None)
+def _simplex_factor(order: int, power: int) -> tuple:
+    """Nodes and weights of the order-point Gauss rule for the weight
+    (1 - u)^power on [0, 1] (shifted Gauss-Jacobi), read-only; the weights
+    sum to 1 / (power + 1)."""
+    u, w = roots_sh_jacobi(order, power + 1, 1)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def _toric_orders(n: int, count: int) -> tuple:
+    """Per-axis orders of the toric rule with count = 2^e nodes on S^(2n+1).
+
+    The 2n+1 axes, in the order angles phi_0..phi_n, then simplex factors
+    1..n, take floor(e / (2n+1)) bits each, and the first e mod (2n+1) of
+    them one bit more: S^3 at 2^16 has 64 and 32 angles and 32 simplex
+    nodes, S^5 at 2^15 has 8 on every axis, S^7 at 2^13 has 4 angles per
+    axis and 4, 4, 2 simplex nodes.
+    """
+    base, extra = divmod(count.bit_length() - 1, 2 * n + 1)
+    orders = [1 << (base + (i < extra)) for i in range(2 * n + 1)]
+    return orders[:n + 1], orders[n + 1:]
+
+
+def _toric_rule(a: np.ndarray, angles: list, factors: list) -> tuple:
+    """(points, weights, scale) of the product rule with the given angle and
+    simplex-factor orders on the level set sum_j |z_j|^2 / a_j^2 = 1.
+
+    Its nodes are z_j = a_j sqrt(r_j) exp(i phi_j).  r runs over the
+    conical product of the simplex: factor i's node u_i takes the share
+    u_i of the mass the earlier factors left, r_i = u_i prod_(l<i) (1 - u_l),
+    and r_0 is the rest; the map's Jacobian prod_i (1 - u_i)^(n-i) is factor i's
+    Jacobi weight.  phi_j runs over the uniform grid of angles[j] points.
+    The surface measure is 2^-n dr dphi on the unit sphere, and the linear
+    map onto the level set multiplies it by prod(a) sqrt(sum_j r_j / a_j^2),
+    prod(a) over the real coordinates, which depends on the simplex node
+    alone.  So scale = 2 pi^(n+1) / prod(angles) and the weights are the
+    Gauss weights times that factor.  Only elementwise operations build
+    the rule, so its bits do not depend on the BLAS.
+    """
+    n = len(factors)
+    rest, gauss, radii = np.ones(1), np.ones(1), []
+    for i, g in enumerate(factors, 1):
+        u, w = _simplex_factor(g, n - i)
+        radii = [np.repeat(r, g) for r in radii] + [np.multiply.outer(rest, u).ravel()]
+        rest = np.multiply.outer(rest, 1.0 - u).ravel()
+        gauss = np.multiply.outer(gauss, w).ravel()
+    radii.insert(0, rest)
+    stretch = sum(r / (aj * aj) for r, aj in zip(radii, a))
+    gauss = gauss * (math.prod(aj * aj for aj in a) * np.sqrt(stretch))
+    # one contiguous plane per coordinate, read as the columns of the points,
+    # as the density and the integrand read them
+    planes = np.empty((2 * n + 2, gauss.size) + tuple(angles))
+    for j, (r, m) in enumerate(zip(radii, angles)):
+        rho = (a[j] * np.sqrt(r)).reshape((-1,) + (1,) * (n + 1))
+        phi = (np.arange(m) * (2.0 * math.pi / m)).reshape((m,) + (1,) * (n - j))
+        # products on the (simplex node, phi_j) grid, broadcast over the other angles
+        planes[2 * j] = rho * np.cos(phi)
+        planes[2 * j + 1] = rho * np.sin(phi)
+    weights = np.repeat(gauss, math.prod(angles))
+    return (planes.reshape(2 * n + 2, -1).T, weights,
+            2.0 * math.pi ** (n + 1) / math.prod(angles))
+
+
+def _toric_reference(a: np.ndarray, budget: int) -> tuple:
+    """The deterministic rule of ``integrate`` on sum_j |z_j|^2 / a_j^2 = 1:
+    the toric product rule (see _toric_rule) with _sample_count(budget)
+    nodes split by _toric_orders, and as its companion the same rule with
+    every order above 1 halved.
+
+    It is exact on polynomials in z and conj(z) once the grids resolve
+    them: phi_j's grid integrates e^(i k phi_j) exactly for |k| below its
+    order, and g Gauss nodes integrate polynomials of degree 2g - 1 in u,
+    so a product of k quadratic moment Hamiltonians needs more than k
+    angles per axis and k/2 nodes per factor (Stroud 1971, ch. 2-3).  The
+    error estimate of ``integrate`` takes the companion's gap.
+    """
+    angles, factors = _toric_orders(len(a) - 1, _sample_count(budget))
+    coarse = [[max(1, g // 2) for g in orders] for orders in (angles, factors)]
+    return _toric_rule(a, angles, factors) + (False, _toric_rule(a, *coarse))
+
+
 # round spheres
 
 
@@ -58,9 +151,8 @@ def _sphere_nodes(dim: int, count: int, seed: int) -> np.ndarray:
 
 
 def _sphere_reference(m: ContactManifold, budget: int, seed: int):
-    count = _sample_count(budget)
-    return (_sphere_nodes(m.ambient_dim, count, seed), None,
-            sphere_volume(m.ambient_dim) / count, True)
+    """The toric rule (see _toric_reference) on the unit sphere; seed is unused."""
+    return _toric_reference(np.ones(m.n + 1), budget)
 
 
 def _sphere_test_points(m: ContactManifold, count: int, rng) -> np.ndarray:
@@ -206,13 +298,8 @@ def _ellipsoid_axes(weights: Sequence[float]) -> np.ndarray:
 
 
 def _ellipsoid_reference(m: ContactManifold, budget: int, seed: int):
-    count = _sample_count(budget)
-    axes = _ellipsoid_axes(m.params["weights"])
-    u = _sphere_nodes(m.ambient_dim, count, seed)
-    pts = u * axes[None, :]
-    # surface-measure distortion of a linear map on the unit sphere
-    weights = np.prod(axes) * np.linalg.norm(u / axes[None, :], axis=1)
-    return pts, weights, sphere_volume(m.ambient_dim) / count, True
+    """The toric rule (see _toric_reference) on the ellipsoid; seed is unused."""
+    return _toric_reference(_ellipsoid_axes(m.params["weights"])[0::2], budget)
 
 
 def _ellipsoid_test_points(m: ContactManifold, count: int, rng) -> np.ndarray:

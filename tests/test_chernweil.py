@@ -1,6 +1,7 @@
 """Moment maps, invariant polynomials, positivity, circle pullbacks."""
 
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -164,6 +165,62 @@ def test_diagonal_pairs_match_dirichlet_on_s5(sphere5):
     b = action.random_element(rng)
     res = pullback_polynomial(action, [a, b], budget=1 << 16)
     assert abs(res.value - dirichlet_pair_oracle(2, a, b)) <= 3.0 * res.std_error + 1e-12
+
+
+def complete_homogeneous(lam, k):
+    # h_k: the sum of all degree-k monomials in lam
+    return math.fsum(math.prod(c) for c in itertools.combinations_with_replacement(lam, k))
+
+
+def every_k_dirichlet_oracle(n, a, k):
+    # the moment of A is <z, (A/i) z> / 2 = sum_j lam_j r_j / 2 in A's eigenbasis,
+    # r uniform on the simplex, where E[(sum lam_j r_j)^k] = k! n! / (n+k)! h_k(lam),
+    # against the contact volume pi^(n+1)
+    lam = np.linalg.eigvalsh(a / 1j)
+    return (math.pi ** (n + 1) * math.factorial(k) * math.factorial(n)
+            / (math.factorial(n + k) * 2 ** k) * complete_homogeneous(lam, k))
+
+
+# budgets whose angle grids exceed k: S^3 at 2^16 has 64 and 32 angles, S^5
+# at 2^15 has 8 per axis, S^7 at 2^18 has 8 per axis
+@pytest.mark.parametrize("n, budget, kmax", [(1, 1 << 16, 6), (2, 1 << 15, 6), (3, 1 << 18, 4)])
+def test_every_k_dirichlet_oracle(n, budget, kmax):
+    action = unitary_action(zoo.standard_sphere(n))
+    rng = np.random.default_rng(41 + n)
+    for k in range(1, kmax + 1):
+        a = action.random_element(rng)
+        res = pullback_polynomial(action, [a] * k, budget=budget)
+        oracle = every_k_dirichlet_oracle(n, a, k)
+        assert abs(res.value - oracle) <= 1e-13 * abs(oracle), (n, k)
+        assert abs(res.value - oracle) <= res.std_error, (n, k)
+
+
+def test_every_k_oracle_aliased_on_a_coarse_grid_is_caught_by_the_error_bar():
+    # S^7 at 2^13 has 4 angles per axis: a product of 4 moments carries
+    # e^(4 i phi), which the grid aliases onto the mean
+    action = unitary_action(zoo.standard_sphere(3))
+    a = action.random_element(np.random.default_rng(44))
+    res = pullback_polynomial(action, [a] * 4, budget=1 << 13)
+    error = abs(res.value - every_k_dirichlet_oracle(3, a, 4))
+    assert error > 1e-6 * abs(res.value)
+    assert res.std_error >= error
+
+
+@pytest.mark.parametrize("n, budget", [(1, 1 << 16), (2, 1 << 15)])
+def test_unitary_pairs_match_their_closed_form(n, budget):
+    # I(iH, iK) = pi^(n+1) (tr H tr K + tr HK) / (4 (n+1)(n+2)) for positive
+    # Hermitian H, K, at the workloads' budgets
+    action = unitary_action(zoo.standard_sphere(n))
+    rng = np.random.default_rng(5 + n)
+    for _ in range(3):
+        h, k = [(lambda x: x @ x.conj().T)(rng.normal(size=(n + 1, n + 1))
+                                           + 1j * rng.normal(size=(n + 1, n + 1)))
+                for _ in range(2)]
+        total = (np.trace(h) * np.trace(k) + np.trace(h @ k)).real
+        oracle = math.pi ** (n + 1) * total / (4.0 * (n + 1) * (n + 2))
+        res = pullback_polynomial(action, [1j * h, 1j * k], budget=budget)
+        assert abs(res.value - oracle) <= 1e-13 * oracle
+        assert abs(res.value - oracle) <= res.std_error <= 1e-13 * res.value
 
 
 def test_constant_hamiltonians_give_powers_times_volume(sphere):

@@ -1,4 +1,5 @@
-"""Contact volume integrals: grids on tori, quasi-random sampling elsewhere."""
+"""Contact volume integrals: grids on tori, toric product rules on spheres
+and ellipsoids, quasi-random sampling on cotangent bundles."""
 
 import math
 from fractions import Fraction
@@ -35,10 +36,60 @@ def test_torus_trig_integral_quadrature_exact():
 
 def test_sphere_volume_is_constant_density():
     res = contact_volume(zoo.standard_sphere(1), budget=1 << 15)
-    assert res.std_error == 0.0
-    assert res.value == pytest.approx(math.pi ** 2, rel=1e-14)
+    assert abs(res.value - math.pi ** 2) <= res.std_error <= 1e-14 * res.value
+    assert res.method == "quadrature" and res.seed is None
     res5 = contact_volume(zoo.standard_sphere(2), budget=1 << 15)
     assert res5.value == pytest.approx(math.pi ** 3, rel=1e-14)
+
+
+# contact volumes of the workloads' sphere and ellipsoid shapes, and a moment
+# with an odd term: pi^(n+1), 1 / prod w_j, and pi^2 / 24 for x0^2 x1^2 + 0.3 y0
+_EXACT_CASES = [
+    (zoo.standard_sphere(1), None, 1 << 16, math.pi ** 2),
+    (zoo.standard_sphere(2), None, 1 << 15, math.pi ** 3),
+    (zoo.standard_sphere(3), None, 1 << 13, math.pi ** 4),
+    (zoo.weighted_sphere((0.7, 1.4)), None, 1 << 16, 1.0 / (0.7 * 1.4)),
+    (zoo.weighted_sphere((0.8, 1.1, 1.5)), None, 1 << 15, 1.0 / (0.8 * 1.1 * 1.5)),
+    (zoo.standard_sphere(1), ScalarField(lambda c: c[0] ** 2 * c[2] ** 2 + 0.3 * c[1], 4),
+     1 << 16, math.pi ** 2 / 24.0),
+]
+
+
+@pytest.mark.parametrize("m, f, budget, exact", _EXACT_CASES)
+def test_toric_rule_is_exact_and_its_error_bar_covers_the_error(m, f, budget, exact):
+    res = (contact_volume(m, budget=budget) if f is None
+           else integrate(m, f, budget=budget))
+    assert abs(res.value - exact) <= 1e-13 * abs(exact)
+    assert abs(res.value - exact) <= res.std_error <= 1e-13 * abs(res.value)
+    assert res.method == "quadrature" and res.samples == budget and res.seed is None
+
+
+def test_deterministic_error_is_the_companion_gap_plus_the_rounding_floor():
+    nodes = np.arange(8.0)[:, None]
+    weights = np.full(8, 0.5)
+    floor = engine._ROUNDING * engine._EPS * 2.0
+
+    def rule(companion_scale):
+        return (nodes, weights, 2.0, False, (nodes[::2], weights[::2], companion_scale))
+
+    # v = 0.5 (x - 3.5): sum v = 0 and sum |v| = 8, so the floor reads 2 * 8
+    res = engine.apply_rule(lambda b: b[:, 0] - 3.5, rule(4.0), seed=0)
+    assert res.value == 0.0 and res.std_error == 4.0 + floor * 8.0
+    # v = 0.5 x: sum v = 14 = sum |v|, which the floor reuses
+    res = engine.apply_rule(lambda b: b[:, 0], rule(4.0), seed=0)
+    assert res.value == 28.0 and res.std_error == abs(28.0 - 24.0) + floor * 14.0
+    assert res.method == "quadrature" and res.samples == 8 and res.seed is None
+
+
+def test_deterministic_rules_skip_the_squares(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("squares formed for a deterministic rule")
+
+    monkeypatch.setattr(engine, "_square_parts", refuse)
+    monkeypatch.setattr(engine, "_square_error", refuse)
+    f = ScalarField(lambda c: c[0] - c[1], 4)
+    assert integrate(zoo.weighted_sphere((1.0, 1.3)), f, budget=1 << 15).method == "quadrature"
+    assert contact_volume(zoo.torus3(1), budget=9 ** 3).std_error == 0.0
 
 
 def test_scaled_sphere_volume():
@@ -75,8 +126,8 @@ def test_sphere_moment_against_dirichlet():
 
 
 def test_sampling_deterministic_per_seed():
-    m = zoo.weighted_sphere((1.0, 2.0))
-    f = ScalarField(lambda c: c[0] * c[0], 4)
+    m = zoo.unit_cotangent_sphere()
+    f = ScalarField(lambda c: c[0] * c[0], 6)
     a = integrate(m, f, budget=1 << 13, seed=5)
     b = integrate(m, f, budget=1 << 13, seed=5)
     c = integrate(m, f, budget=1 << 13, seed=6)
@@ -97,7 +148,8 @@ def test_thread_count_does_not_change_sums():
     one = integrate(m, f, budget=1 << 16, threads=1)
     blocks.clear()
     four = integrate(m, f, budget=1 << 16, threads=4)
-    assert len(blocks) > 1 and sum(blocks) == 1 << 16
+    # the rule's 2^16 nodes and its companion's 2^13
+    assert len(blocks) > 1 and sum(blocks) == (1 << 16) + (1 << 13)
     assert one.value == four.value
     assert one.std_error == four.std_error
 
@@ -206,13 +258,16 @@ def test_budget_rounds_to_power_of_two():
 
 
 def test_record_carries_seed_and_inputs():
-    m = zoo.weighted_sphere((1.0, 2.0))
+    m = zoo.unit_cotangent_sphere()
     res = contact_volume(m, budget=1 << 13, seed=9)
     rec = res.record("volume", {"manifold": m.key()})
-    assert rec["seed"] == 9
+    assert rec["seed"] == 9 and rec["method"] == "monte-carlo"
     assert rec["operation"] == "volume"
     assert rec["inputs"]["manifold"] == m.key()
     assert rec["value"] == res.value
+    # a deterministic rule draws nothing, so it records no seed
+    exact = contact_volume(zoo.weighted_sphere((1.0, 2.0)), budget=1 << 13, seed=9)
+    assert exact.record("volume", {})["seed"] is None
 
 
 def test_default_threads_reads_environment(monkeypatch):

@@ -20,10 +20,12 @@ def test_catalog_builds_every_entry():
             assert np.all(defect > 0.0), name
 
 
-# total reference measure of each catalog entry's quadrature rule
+# total reference measure of each catalog entry's quadrature rule: the area
+# of the level set for the toric rules (the default weights (1, 1) give the
+# sphere of radius 1/sqrt(pi)), the chart's measure for the sampled rules
 _RULE_MEASURE = {
     "sphere": zoo.sphere_volume(4),
-    "weighted": zoo.sphere_volume(4),
+    "weighted": zoo.sphere_volume(4) / math.pi ** 1.5,
     "torus3": (2.0 * math.pi) ** 3,
     "degenerate-torus": (2.0 * math.pi) ** 3,
     "cotangent-round": 8.0 * math.pi ** 2,
@@ -35,21 +37,61 @@ _RULE_MEASURE = {
 @pytest.mark.parametrize("budget", [1, 100, 256, 1000, 5000])
 def test_quadrature_rule_contract(name, budget):
     m = zoo.catalog()[name]()
-    pts, weights, scale, sampled = m.reference_sampler(m, budget, 3)
+    pts, weights, scale, sampled, *companion = m.reference_sampler(m, budget, 3)
     count = pts.shape[0]
     assert pts.shape == (count, m.ambient_dim)
     for c in m.constraints:
         assert np.max(np.abs(c(pts))) <= 1e-12, c.name
     if m.periodic:
-        assert not sampled and weights is None
+        assert not sampled and weights is None and not companion
         assert np.all((pts >= 0.0) & (pts < m.period))
         assert count == max(9, round(budget ** (1.0 / 3.0))) ** 3
         assert scale * count == pytest.approx(_RULE_MEASURE[name], rel=1e-14)
-    else:
-        assert sampled
+    elif name.startswith("cotangent"):
+        assert sampled and not companion
         assert count == max(256, 1 << (budget - 1).bit_length())
         assert scale * count == _RULE_MEASURE[name]
-        assert weights is None or (weights.shape == (count,) and np.all(weights > 0))
+        assert weights.shape == (count,) and np.all(weights > 0)
+    else:
+        # the toric rule and its companion of halved orders, 1/8 of the nodes on S^3
+        assert not sampled
+        assert count == max(256, 1 << (budget - 1).bit_length())
+        rules = [(pts, weights, scale)] + companion
+        assert [len(r[0]) for r in rules] == [count, count // 8]
+        for rule_pts, rule_weights, rule_scale in rules:
+            assert rule_weights.shape == (len(rule_pts),) and np.all(rule_weights > 0)
+            assert rule_scale * math.fsum(rule_weights) == pytest.approx(_RULE_MEASURE[name],
+                                                                        rel=1e-14)
+            for c in m.constraints:
+                assert np.max(np.abs(c(rule_pts))) <= 1e-12, c.name
+
+
+@pytest.mark.parametrize("n, budget, orders", [
+    (1, 1 << 16, ([64, 32], [32])), (2, 1 << 15, ([8, 8, 8], [8, 8])),
+    (3, 1 << 13, ([4, 4, 4, 4], [4, 4, 2])), (1, 256, ([8, 8], [4]))])
+def test_toric_orders_split_the_bits_angles_first(n, budget, orders):
+    assert zoo._toric_orders(n, zoo._sample_count(budget)) == orders
+
+
+def test_toric_rule_on_an_ellipsoid_integrates_its_area_and_moments():
+    # the ellipsoid's rule is the unit sphere's pushed by z_j -> a_j z_j:
+    # its weights over the sphere's are the surface Jacobian of that map,
+    # prod(a) |A^-1 u| for the unit-sphere node u
+    w = (0.8, 1.3, 2.1)
+    a = 1.0 / np.sqrt(math.pi * np.asarray(w))
+    ellipsoid = zoo.weighted_sphere(w)
+    sphere = zoo.standard_sphere(2)
+    e_pts, e_weights, e_scale, _, _ = ellipsoid.reference_sampler(ellipsoid, 1 << 12, 0)
+    s_pts, s_weights, s_scale, _, _ = sphere.reference_sampler(sphere, 1 << 12, 0)
+    axes = np.repeat(a, 2)
+    assert e_scale == s_scale
+    assert np.allclose(e_pts, s_pts * axes, rtol=0.0, atol=1e-15)
+    jacobian = np.prod(axes) * np.linalg.norm(s_pts / axes, axis=1)
+    assert np.allclose(e_weights, s_weights * jacobian, rtol=1e-14, atol=0.0)
+    # on the unit sphere, |z_0|^2 |z_1|^2 averages 1 / ((n+1)(n+2)) = 1/12
+    moment = (s_pts[:, 0] ** 2 + s_pts[:, 1] ** 2) * (s_pts[:, 2] ** 2 + s_pts[:, 3] ** 2)
+    assert s_scale * math.fsum(moment * s_weights) == pytest.approx(
+        zoo.sphere_volume(6) / 12.0, rel=1e-14)
 
 
 def test_sphere_dimensions():
