@@ -220,7 +220,8 @@ def invariant_polynomial_I(m: ContactManifold, hams: Sequence[Hamiltonian],
 def pullback_polynomial(action: GroupAction, elements: Sequence,
                         budget: int = 1 << 17, seed: int = 0,
                         threads: Optional[int] = None) -> IntegralResult:
-    """Invariant polynomial evaluated on moment Hamiltonians of elements."""
+    """Invariant polynomial evaluated on moment Hamiltonians of elements;
+    seed is ignored, since every rule is deterministic."""
     hams = [moment_field(action, a) for a in elements]
     return invariant_polynomial_I(action.manifold, hams, budget=budget,
                                   seed=seed, threads=threads)

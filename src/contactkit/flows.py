@@ -371,17 +371,15 @@ def birkhoff_average(traj: FlowTrajectory, f) -> np.ndarray:
 
 def space_average(m: ContactManifold, f, budget: int = 1 << 17,
                   seed: int = 0, threads: Optional[int] = None) -> IntegralResult:
-    """Volume-normalized integral of f against the contact volume form."""
+    """Volume-normalized integral of f against the contact volume form; seed
+    is ignored, since every rule is deterministic."""
     top = integrate(m, f, budget=budget, seed=seed, threads=threads)
     vol = contact_volume(m, budget=budget, seed=seed, threads=threads)
     value = top.value / vol.value
-    if top.std_error == 0.0 and vol.std_error == 0.0:
-        err = 0.0
-    else:
-        rel = math.hypot(top.std_error / max(abs(top.value), 1e-300),
-                         vol.std_error / vol.value)
-        err = abs(value) * rel if value != 0 else top.std_error / vol.value
-    return IntegralResult(value, err, top.method, top.samples, seed)
+    rel = math.hypot(top.std_error / max(abs(top.value), 1e-300),
+                     vol.std_error / vol.value)
+    err = abs(value) * rel if value != 0 else top.std_error / vol.value
+    return IntegralResult(value, err, top.method, top.samples)
 
 
 _COVERAGE_CACHE: dict = {}

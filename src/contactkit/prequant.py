@@ -22,8 +22,7 @@ from .fields import ScalarField
 from .hamiltonian import Hamiltonian, hamiltonian
 from .integrate import IntegralResult, apply_rule, integrate
 from .manifold import ContactManifold, GeometryError
-from .zoo import hopf_components, hopf_projection, standard_sphere, _sample_count, \
-    _sphere_nodes
+from .zoo import hopf_components, hopf_projection, standard_sphere, _s2_reference
 
 
 class FiberError(GeometryError):
@@ -105,19 +104,18 @@ def base_integral(preq: Prequantization, fields: Sequence, budget: int = 1 << 16
     """Integral of a product of base functions against omega.
 
     omega = omega_scale x (round area form), so the value is
-    omega_scale x 4 pi x (spherical mean of the product), sampled at
-    scrambled Sobol points on the 2-sphere.
+    omega_scale x 4 pi x (spherical mean of the product), on the S^2
+    product rule of _sample_count(budget) nodes, Gauss-Legendre in
+    cos(theta) times a uniform azimuth grid, whose companion gives the
+    error (see zoo._s2_reference); seed is ignored.
     """
-    count = _sample_count(budget)
-
     def product(block):
         vals = np.ones(len(block))
         for f in fields:
             vals = vals * np.asarray(f(block), dtype=float)
         return vals
 
-    rule = (_sphere_nodes(3, count, seed), None, preq.omega_total / count, True)
-    return apply_rule(product, rule, seed)
+    return apply_rule(product, _s2_reference(budget, preq.omega_total))
 
 
 def section(preq: Prequantization, base_pts) -> np.ndarray:

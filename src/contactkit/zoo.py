@@ -3,15 +3,16 @@
 Each constructor returns a :class:`ContactManifold` carrying the
 ambient constraints, the contact form, an orientation sign making the
 contact volume density positive, a test sampler, and the quadrature
-rule ``reference_sampler(m, budget, seed) -> (points, weights or None,
-scale, sampled[, companion])`` of ``integrate``.  Round spheres and
-ellipsoids take a deterministic toric product rule, Gauss-Jacobi on the
-simplex of the |z_j|^2 times uniform angle grids, with its coarse
-companion for the error (see _toric_reference); the flat torus takes a
-product trapezoid grid, whose error reads zero; the cotangent bundle takes
-scrambled Sobol nodes, whose error is the iid standard error.  Complex
-coordinates z_j = x_j + i y_j on R^(2n+2) are stored interleaved:
-(x_0, y_0, x_1, y_1, ...).
+rule ``reference_sampler(m, budget) -> (points, weights or None, scale,
+companion)`` of ``integrate``; the companion (points, weights or None,
+scale) is the same rule at halved orders, for the error.  Every rule is
+a deterministic product rule: round spheres and ellipsoids take
+Gauss-Jacobi on the simplex of the |z_j|^2 times uniform angle grids
+(see _toric_reference); the flat torus takes a product trapezoid grid;
+the cotangent bundle takes Gauss-Legendre in cos(theta) times uniform
+grids in the azimuth and the fiber angle (see _cotangent_reference).
+Complex coordinates z_j = x_j + i y_j on R^(2n+2) are stored
+interleaved: (x_0, y_0, x_1, y_1, ...).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri, roots_sh_jacobi
+from scipy.special import roots_sh_jacobi
 
 from .fields import OneForm, ScalarField
 from .manifold import ContactManifold
@@ -33,24 +34,10 @@ def sphere_volume(dim_ambient: int) -> float:
     return 2.0 * math.pi ** (dim_ambient / 2.0) / math.gamma(dim_ambient / 2.0)
 
 
-def _sobol_block(dim: int, count: int, seed: int) -> np.ndarray:
-    """count scrambled Sobol points in [0,1)^dim; count a power of two."""
-    # imported here: only the sampled rules draw Sobol points, and importing
-    # scipy.stats takes 0.35-0.7 s on top of the rest of scipy
-    from scipy.stats import qmc
-
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    return eng.random_base2(int(round(math.log2(count))))
-
-
 def _sample_count(budget) -> int:
-    """The next power of two >= budget, at least 2^8: measure/count is exact."""
+    """The next power of two >= budget, at least 2^8: the node count of a
+    rule, whose per-axis orders are then powers of two."""
     return 1 << max(8, (max(1, math.ceil(budget)) - 1).bit_length())
-
-
-def _gaussianize(u: np.ndarray) -> np.ndarray:
-    # keep ndtri away from 0/1 endpoints
-    return ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -68,6 +55,11 @@ def _simplex_factor(order: int, power: int) -> tuple:
     u, w = roots_sh_jacobi(order, power + 1, 1)
     u.flags.writeable = w.flags.writeable = False
     return u, w
+
+
+def _halved(orders: list) -> list:
+    """The companion's orders: every order above 1 halved."""
+    return [max(1, g // 2) for g in orders]
 
 
 def _toric_orders(n: int, count: int) -> tuple:
@@ -138,20 +130,49 @@ def _toric_reference(a: np.ndarray, budget: int) -> tuple:
     error estimate of ``integrate`` takes the companion's gap.
     """
     angles, factors = _toric_orders(len(a) - 1, _sample_count(budget))
-    coarse = [[max(1, g // 2) for g in orders] for orders in (angles, factors)]
-    return _toric_rule(a, angles, factors) + (False, _toric_rule(a, *coarse))
+    return _toric_rule(a, angles, factors) + (_toric_rule(a, _halved(angles), _halved(factors)),)
+
+
+# the two-sphere: the base of the Hopf bundle and of the cotangent bundle
+
+
+def _s2_rule(polar: int, azimuth: int, area: float) -> tuple:
+    """(points, weights, scale) of the product rule on the unit sphere in R^3
+    for the multiple of its area measure whose total is area.
+
+    t = cos(theta) = 2u - 1 runs over the polar-point Gauss-Legendre rule
+    (_simplex_factor(polar, 0), whose weights sum to 1) and phi over the
+    uniform grid of azimuth angles; the area element is dt dphi, so
+    scale = area / azimuth and the weights are the Gauss weights.  It
+    integrates polynomials of degree below min(2 polar, azimuth) exactly,
+    and only elementwise operations build it, as _toric_rule.
+    """
+    u, w = _simplex_factor(polar, 0)
+    s = 2.0 * np.sqrt(u * (1.0 - u))  # sin(theta)
+    phi = np.arange(azimuth) * (2.0 * math.pi / azimuth)
+    pts = np.column_stack([np.multiply.outer(s, np.cos(phi)).ravel(),
+                           np.multiply.outer(s, np.sin(phi)).ravel(),
+                           np.repeat(2.0 * u - 1.0, azimuth)])
+    return pts, np.repeat(w, azimuth), area / azimuth
+
+
+def _s2_reference(budget: int, area: float) -> tuple:
+    """The S^2 rule (see _s2_rule) with count = _sample_count(budget) nodes,
+    and its companion at halved orders.  The polar axis takes the simplex
+    factor's order of _toric_orders(1, count), as on the cotangent bundle,
+    and the azimuth the rest: scipy's Gauss nodes lose digits above order
+    64 (the moment of t^2 is off by 4.4e-14 relative at 128 nodes), and the
+    uniform grid does not."""
+    angles, (polar,) = _toric_orders(1, _sample_count(budget))
+    orders = [polar, math.prod(angles)]
+    return _s2_rule(*orders, area) + (_s2_rule(*_halved(orders), area),)
 
 
 # round spheres
 
 
-def _sphere_nodes(dim: int, count: int, seed: int) -> np.ndarray:
-    """count scrambled Sobol points pushed onto the unit sphere in R^dim."""
-    return _unit_rows(_gaussianize(_sobol_block(dim, count, seed)))
-
-
-def _sphere_reference(m: ContactManifold, budget: int, seed: int):
-    """The toric rule (see _toric_reference) on the unit sphere; seed is unused."""
+def _sphere_reference(m: ContactManifold, budget: int):
+    """The toric rule (see _toric_reference) on the unit sphere."""
     return _toric_reference(np.ones(m.n + 1), budget)
 
 
@@ -224,14 +245,21 @@ def _torus_test_points(m: ContactManifold, count: int, rng) -> np.ndarray:
     return rng.uniform(0.0, m.period, size=(count, 3))
 
 
-def _torus_reference(m: ContactManifold, budget: int, seed: int):
-    """Product trapezoid grid of max(9, round(budget^(1/3))) nodes per axis."""
+def _torus_grid(m: ContactManifold, nodes: int) -> tuple:
+    """(points, None, scale) of the product trapezoid grid of nodes per axis."""
     d = m.ambient_dim
-    nodes = max(9, int(round(budget ** (1.0 / d))))
     ticks = np.arange(nodes) * (m.period / nodes)
     grids = np.meshgrid(*([ticks] * d), indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
-    return pts, None, (m.period / nodes) ** d, False
+    return pts, None, (m.period / nodes) ** d
+
+
+def _torus_reference(m: ContactManifold, budget: int):
+    """Product trapezoid grid of max(9, round(budget^(1/3))) nodes per axis,
+    exact on trigonometric polynomials of bandwidth below the node count,
+    and its companion of half as many nodes per axis."""
+    nodes = max(9, int(round(budget ** (1.0 / m.ambient_dim))))
+    return _torus_grid(m, nodes) + (_torus_grid(m, nodes // 2),)
 
 
 def torus3(winding: int = 1) -> ContactManifold:
@@ -297,8 +325,8 @@ def _ellipsoid_axes(weights: Sequence[float]) -> np.ndarray:
     return np.repeat(1.0 / np.sqrt(math.pi * np.asarray(weights, dtype=float)), 2)
 
 
-def _ellipsoid_reference(m: ContactManifold, budget: int, seed: int):
-    """The toric rule (see _toric_reference) on the ellipsoid; seed is unused."""
+def _ellipsoid_reference(m: ContactManifold, budget: int):
+    """The toric rule (see _toric_reference) on the ellipsoid."""
     return _toric_reference(_ellipsoid_axes(m.params["weights"])[0::2], budget)
 
 
@@ -394,15 +422,23 @@ def _cotangent_chart(f: Callable):
     return chart
 
 
-def _cotangent_reference(m: ContactManifold, budget: int, seed: int):
+def _cotangent_rule(chart: Callable, polar: int, azimuth: int, fiber: int) -> tuple:
+    """(points, weights, scale) of the S^2 rule (see _s2_rule) in q times the
+    uniform grid of fiber angles theta, pushed through the chart.
+
+    The weights are the S^2 rule's times the chart's Jacobian against
+    dA x dtheta, sqrt(det G) of the Gram matrix G of its derivatives along
+    two orthonormal base directions and theta, so the density stays in the
+    integrand.  On the round bundle a product of moment Hamiltonians is a
+    trigonometric polynomial in theta whose fiber mean is a polynomial in
+    q, so the grids integrate it exactly once they resolve its degree.
+    """
     from .dual import epsilon, seed as seeded_along, value
 
-    count = _sample_count(budget)
-    chart = _cotangent_chart(m.params["conformal_exponent"])
-    u = _sobol_block(4, count, seed)
-    g = _gaussianize(u[:, :3])
-    q = _unit_rows(g)
-    theta = 2.0 * math.pi * u[:, 3]
+    base, gauss, scale = _s2_rule(polar, azimuth, 4.0 * math.pi)
+    count = len(base) * fiber
+    q = np.repeat(base, fiber, axis=0)
+    theta = np.tile(np.arange(fiber) * (2.0 * math.pi / fiber), len(base))
 
     # the chart and its Jacobian against dA x dtheta in one pass, seeded
     # along two orthonormal base directions and the fiber angle
@@ -415,8 +451,18 @@ def _cotangent_reference(m: ContactManifold, budget: int, seed: int):
     jac = np.stack([np.broadcast_to(epsilon(c), (3, count)) for c in seeded], axis=-1)
     jac = np.swapaxes(jac, 0, 1)
     gram = np.einsum("nia,nja->nij", jac, jac)
-    weights = np.sqrt(np.linalg.det(gram))
-    return pts, weights, 4.0 * math.pi * 2.0 * math.pi / count, True
+    weights = np.repeat(gauss, fiber) * np.sqrt(np.linalg.det(gram))
+    return pts, weights, scale * (2.0 * math.pi / fiber)
+
+
+def _cotangent_reference(m: ContactManifold, budget: int):
+    """The cotangent rule (see _cotangent_rule) with _sample_count(budget)
+    nodes, split by _toric_orders(1, count) into azimuth and fiber angles
+    and polar nodes, and its companion at halved orders."""
+    chart = _cotangent_chart(m.params["conformal_exponent"])
+    (azimuth, fiber), (polar,) = _toric_orders(1, _sample_count(budget))
+    orders = [polar, azimuth, fiber]
+    return _cotangent_rule(chart, *orders) + (_cotangent_rule(chart, *_halved(orders)),)
 
 
 def _cotangent_test_points(m: ContactManifold, count: int, rng) -> np.ndarray:

@@ -201,9 +201,14 @@ def test_preq_normalized_euler_is_one(capsys):
     assert rep["euler"]["warning"] is None
 
 
-def test_preq_dispersion_gate_fails_at_low_budget(capsys):
-    # the total space's rule is exact, so the spread is the base's Sobol
-    # error: budget 2048 leaves it just above the 1e-3 gate
+def test_preq_dispersion_gate_fails_at_low_budget(capsys, monkeypatch):
+    # both rules are exact, so no budget spreads the fiber ratios; a check that
+    # reports the right constant with dispersion 1e-2 must fail the 1e-3 gate
+    # alone, and the exit code with it
+    import contactkit.cli as cli
+
+    monkeypatch.setattr(cli, "fiber_integration_check",
+                        lambda preq, **kwargs: (preq.fiber_period, 1e-2))
     code, rep, _ = run_json(capsys, "preq", "--trials", "4", "--budget", "2048")
     assert code == 1 and rep["pass"] is False
     assert rep["dispersion_ok"] is False and rep["fiber_constant_ok"] is True

@@ -1,14 +1,15 @@
 """Contact volume integrals: grids on tori, toric product rules on spheres
-and ellipsoids, quasi-random sampling on cotangent bundles."""
+and ellipsoids, S^2 times fiber product rules on cotangent bundles."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from contactkit import zoo
+from contactkit.chernweil import invariant_polynomial_I
 from contactkit.fields import ScalarField, constant_field
+from contactkit.hamiltonian import hamiltonian
 import contactkit.integrate as engine
 from contactkit.integrate import contact_volume, default_threads, integrate
 
@@ -21,8 +22,8 @@ def test_torus_volume_exact_per_winding():
     # alpha ^ d alpha = k dx dy dt, so the volume is k (2 pi)^3
     for k in (1, 2, 3):
         res = contact_volume(zoo.torus3(k), budget=33 ** 3)
-        assert res.std_error == 0.0
-        assert res.value == pytest.approx(k * (2 * math.pi) ** 3, rel=1e-12)
+        exact = k * (2 * math.pi) ** 3
+        assert abs(res.value - exact) <= res.std_error <= 1e-14 * res.value
 
 
 def test_torus_trig_integral_quadrature_exact():
@@ -37,7 +38,7 @@ def test_torus_trig_integral_quadrature_exact():
 def test_sphere_volume_is_constant_density():
     res = contact_volume(zoo.standard_sphere(1), budget=1 << 15)
     assert abs(res.value - math.pi ** 2) <= res.std_error <= 1e-14 * res.value
-    assert res.method == "quadrature" and res.seed is None
+    assert res.method == "quadrature"
     res5 = contact_volume(zoo.standard_sphere(2), budget=1 << 15)
     assert res5.value == pytest.approx(math.pi ** 3, rel=1e-14)
 
@@ -61,7 +62,7 @@ def test_toric_rule_is_exact_and_its_error_bar_covers_the_error(m, f, budget, ex
            else integrate(m, f, budget=budget))
     assert abs(res.value - exact) <= 1e-13 * abs(exact)
     assert abs(res.value - exact) <= res.std_error <= 1e-13 * abs(res.value)
-    assert res.method == "quadrature" and res.samples == budget and res.seed is None
+    assert res.method == "quadrature" and res.samples == budget
 
 
 def test_deterministic_error_is_the_companion_gap_plus_the_rounding_floor():
@@ -70,26 +71,15 @@ def test_deterministic_error_is_the_companion_gap_plus_the_rounding_floor():
     floor = engine._ROUNDING * engine._EPS * 2.0
 
     def rule(companion_scale):
-        return (nodes, weights, 2.0, False, (nodes[::2], weights[::2], companion_scale))
+        return (nodes, weights, 2.0, (nodes[::2], weights[::2], companion_scale))
 
     # v = 0.5 (x - 3.5): sum v = 0 and sum |v| = 8, so the floor reads 2 * 8
-    res = engine.apply_rule(lambda b: b[:, 0] - 3.5, rule(4.0), seed=0)
+    res = engine.apply_rule(lambda b: b[:, 0] - 3.5, rule(4.0))
     assert res.value == 0.0 and res.std_error == 4.0 + floor * 8.0
     # v = 0.5 x: sum v = 14 = sum |v|, which the floor reuses
-    res = engine.apply_rule(lambda b: b[:, 0], rule(4.0), seed=0)
+    res = engine.apply_rule(lambda b: b[:, 0], rule(4.0))
     assert res.value == 28.0 and res.std_error == abs(28.0 - 24.0) + floor * 14.0
-    assert res.method == "quadrature" and res.samples == 8 and res.seed is None
-
-
-def test_deterministic_rules_skip_the_squares(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("squares formed for a deterministic rule")
-
-    monkeypatch.setattr(engine, "_square_parts", refuse)
-    monkeypatch.setattr(engine, "_square_error", refuse)
-    f = ScalarField(lambda c: c[0] - c[1], 4)
-    assert integrate(zoo.weighted_sphere((1.0, 1.3)), f, budget=1 << 15).method == "quadrature"
-    assert contact_volume(zoo.torus3(1), budget=9 ** 3).std_error == 0.0
+    assert res.method == "quadrature" and res.samples == 8
 
 
 def test_scaled_sphere_volume():
@@ -117,6 +107,40 @@ def test_cotangent_bump_volume():
     assert within_3sigma(res, oracle)
 
 
+# a bump f = s q3 makes the volume 8 pi^2 sinh(2s) / (2s)
+@pytest.mark.parametrize("budget", [1 << 13, 1 << 16])
+@pytest.mark.parametrize("strength", [None, 0.1, 0.3])
+def test_cotangent_volume_is_exact_and_its_error_bar_covers_the_error(strength, budget):
+    if strength is None:
+        m, exact = zoo.unit_cotangent_sphere(), 8.0 * math.pi ** 2
+    else:
+        m = zoo.catalog()["cotangent-bump"](strength=strength)
+        exact = 8.0 * math.pi ** 2 * math.sinh(2.0 * strength) / (2.0 * strength)
+    res = contact_volume(m, budget=budget)
+    assert abs(res.value - exact) <= res.std_error <= 1e-13 * exact
+    assert res.method == "quadrature" and res.samples == budget
+
+
+# on the round bundle L = q x p is uniform on the unit sphere under the contact
+# measure, so I_k(H_a, ..., H_a) = vol |a|^k / (k + 1) for even k and 0 for odd k,
+# with vol = 8 pi^2 and H_a = a . (q x p)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cotangent_angular_momentum_moments_are_exact(k):
+    m = zoo.unit_cotangent_sphere()
+    a = np.array([0.3, -0.7, 0.5])
+
+    def angular_momentum(c):
+        q, p = c[:3], c[3:]
+        return (a[0] * (q[1] * p[2] - q[2] * p[1]) + a[1] * (q[2] * p[0] - q[0] * p[2])
+                + a[2] * (q[0] * p[1] - q[1] * p[0]))
+
+    h = hamiltonian(m, angular_momentum, reeb_invariant=True)
+    scale = 8.0 * math.pi ** 2 * float(np.linalg.norm(a)) ** k
+    exact = scale / (k + 1) if k % 2 == 0 else 0.0
+    res = invariant_polynomial_I(m, [h] * k, budget=1 << 13)
+    assert abs(res.value - exact) <= res.std_error <= 1e-13 * scale
+
+
 def test_sphere_moment_against_dirichlet():
     # |z0|^2 has mean 1/2 on S^3
     m = zoo.standard_sphere(1)
@@ -126,13 +150,14 @@ def test_sphere_moment_against_dirichlet():
 
 
 def test_sampling_deterministic_per_seed():
+    # every rule is deterministic: reruns and other seeds give the same bits
     m = zoo.unit_cotangent_sphere()
     f = ScalarField(lambda c: c[0] * c[0], 6)
     a = integrate(m, f, budget=1 << 13, seed=5)
     b = integrate(m, f, budget=1 << 13, seed=5)
     c = integrate(m, f, budget=1 << 13, seed=6)
-    assert a.value == b.value and a.std_error == b.std_error
-    assert a.value != c.value
+    assert a.value.hex() == b.value.hex() == c.value.hex()
+    assert a.std_error.hex() == b.std_error.hex() == c.std_error.hex()
 
 
 def test_thread_count_does_not_change_sums():
@@ -232,25 +257,6 @@ def test_exact_chunk_sum_raises_like_fsum():
     assert _chunked_sum(x, 1) == big
 
 
-def test_standard_error_forms_the_spread_exactly():
-    # 1e8 + (0, 1) over 1024 nodes: count sum v^2 - (sum v)^2 = 1024^2 / 4,
-    # which total_sq / count - mean^2 would cancel to zero
-    nodes = np.tile([[0.0], [1.0]], (512, 1))
-    res = engine.apply_rule(lambda block: 1e8 + block[:, 0], (nodes, None, 1.0, True), seed=0)
-    assert res.value == 1024e8 + 512 and res.std_error == 16.0
-    # over several chunks and exponents, the deviation sum is the exact one rounded once
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        vals = np.ldexp(rng.standard_normal(300), rng.integers(-30, 30, 300)) + rng.normal() * 1e6
-        chunks = np.array_split(vals, 3)
-        squares = [engine._exact_sum(part) for c in chunks
-                   for part in (c * c, engine._square_error(c, c * c))]
-        got = engine._deviation_sum([engine._exact_sum(c) for c in chunks], squares, vals.size)
-        exact = [Fraction(v) for v in vals]
-        s1, s2 = sum(exact), sum(v * v for v in exact)
-        assert got == float((vals.size * s2 - s1 * s1) / vals.size)
-
-
 def test_budget_rounds_to_power_of_two():
     m = zoo.standard_sphere(1)
     res = integrate(m, constant_field(1.0, 4), budget=1000)
@@ -258,16 +264,18 @@ def test_budget_rounds_to_power_of_two():
 
 
 def test_record_carries_seed_and_inputs():
+    # the rules draw nothing, so the record holds no seed, and a rerun with
+    # another seed records the same bits
     m = zoo.unit_cotangent_sphere()
     res = contact_volume(m, budget=1 << 13, seed=9)
     rec = res.record("volume", {"manifold": m.key()})
-    assert rec["seed"] == 9 and rec["method"] == "monte-carlo"
+    assert "seed" not in rec and rec["method"] == "quadrature"
     assert rec["operation"] == "volume"
     assert rec["inputs"]["manifold"] == m.key()
     assert rec["value"] == res.value
-    # a deterministic rule draws nothing, so it records no seed
-    exact = contact_volume(zoo.weighted_sphere((1.0, 2.0)), budget=1 << 13, seed=9)
-    assert exact.record("volume", {})["seed"] is None
+    again = contact_volume(m, budget=1 << 13, seed=10).record("volume", {"manifold": m.key()})
+    assert again["value"].hex() == rec["value"].hex()
+    assert again["std_error"].hex() == rec["std_error"].hex()
 
 
 def test_default_threads_reads_environment(monkeypatch):

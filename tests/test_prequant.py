@@ -80,10 +80,23 @@ def test_diagonal_moment_descends_to_height(preq):
 
 def test_base_integral_of_constant_and_odd_function(preq):
     const = base_integral(preq, [lambda b: np.ones(len(b))], budget=1 << 12)
+    assert abs(const.value - preq.omega_total) <= const.std_error <= 1e-14 * const.value
     assert const.value == pytest.approx(math.pi, rel=1e-12)
-    assert const.std_error == 0.0
     odd = base_integral(preq, [lambda b: b[:, 2]], budget=1 << 14)
     assert abs(odd.value) <= 3.0 * odd.std_error + 1e-12
+
+
+@pytest.mark.parametrize("budget", [1 << 12, 1 << 15, 1 << 16])
+def test_base_rule_integrates_sphere_moments_exactly(preq, budget):
+    # over the unit sphere, the integral of b3^2 dA is 4 pi / 3 and of b1^2 b2^2 dA
+    # is 4 pi / 15; base_integral takes them against omega = omega_scale dA
+    for fields, area_moment in (([lambda b: b[:, 2] ** 2], 4.0 * math.pi / 3.0),
+                                ([lambda b: b[:, 0] ** 2, lambda b: b[:, 1] ** 2],
+                                 4.0 * math.pi / 15.0)):
+        res = base_integral(preq, fields, budget=budget)
+        exact = preq.omega_scale * area_moment
+        assert abs(res.value - exact) <= min(res.std_error, 1e-14 * exact)
+        assert res.samples == budget
 
 
 def test_normalized_hamiltonian_has_zero_mean(preq):

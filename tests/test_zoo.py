@@ -22,14 +22,16 @@ def test_catalog_builds_every_entry():
 
 # total reference measure of each catalog entry's quadrature rule: the area
 # of the level set for the toric rules (the default weights (1, 1) give the
-# sphere of radius 1/sqrt(pi)), the chart's measure for the sampled rules
+# sphere of radius 1/sqrt(pi)), and the area of the round cotangent bundle in
+# R^6, where p turns with q and stretches each base direction by sqrt(2); the
+# bump bundle's area has no closed form (its contact volume is in test_integrate)
 _RULE_MEASURE = {
     "sphere": zoo.sphere_volume(4),
     "weighted": zoo.sphere_volume(4) / math.pi ** 1.5,
     "torus3": (2.0 * math.pi) ** 3,
     "degenerate-torus": (2.0 * math.pi) ** 3,
-    "cotangent-round": 8.0 * math.pi ** 2,
-    "cotangent-bump": 8.0 * math.pi ** 2,
+    "cotangent-round": 8.0 * math.sqrt(2.0) * math.pi ** 2,
+    "cotangent-bump": None,
 }
 
 
@@ -37,33 +39,30 @@ _RULE_MEASURE = {
 @pytest.mark.parametrize("budget", [1, 100, 256, 1000, 5000])
 def test_quadrature_rule_contract(name, budget):
     m = zoo.catalog()[name]()
-    pts, weights, scale, sampled, *companion = m.reference_sampler(m, budget, 3)
+    pts, weights, scale, companion = m.reference_sampler(m, budget)
     count = pts.shape[0]
-    assert pts.shape == (count, m.ambient_dim)
-    for c in m.constraints:
-        assert np.max(np.abs(c(pts))) <= 1e-12, c.name
+    rules = [(pts, weights, scale), companion]
+    for rule_pts, _, _ in rules:
+        assert rule_pts.shape[1] == m.ambient_dim
+        for c in m.constraints:
+            assert np.max(np.abs(c(rule_pts))) <= 1e-12, c.name
     if m.periodic:
-        assert not sampled and weights is None and not companion
-        assert np.all((pts >= 0.0) & (pts < m.period))
-        assert count == max(9, round(budget ** (1.0 / 3.0))) ** 3
-        assert scale * count == pytest.approx(_RULE_MEASURE[name], rel=1e-14)
-    elif name.startswith("cotangent"):
-        assert sampled and not companion
-        assert count == max(256, 1 << (budget - 1).bit_length())
-        assert scale * count == _RULE_MEASURE[name]
-        assert weights.shape == (count,) and np.all(weights > 0)
-    else:
-        # the toric rule and its companion of halved orders, 1/8 of the nodes on S^3
-        assert not sampled
-        assert count == max(256, 1 << (budget - 1).bit_length())
-        rules = [(pts, weights, scale)] + companion
-        assert [len(r[0]) for r in rules] == [count, count // 8]
+        # the grid and its companion of half the nodes per axis
+        nodes = max(9, round(budget ** (1.0 / 3.0)))
+        assert [len(r[0]) for r in rules] == [nodes ** 3, (nodes // 2) ** 3]
         for rule_pts, rule_weights, rule_scale in rules:
-            assert rule_weights.shape == (len(rule_pts),) and np.all(rule_weights > 0)
+            assert rule_weights is None and np.all((rule_pts >= 0.0) & (rule_pts < m.period))
+            assert rule_scale * len(rule_pts) == pytest.approx(_RULE_MEASURE[name], rel=1e-14)
+        return
+    # the product rule and its companion of halved orders: 1/8 of the nodes,
+    # since S^3 and the cotangent bundle both have three axes
+    assert count == max(256, 1 << (budget - 1).bit_length())
+    assert [len(r[0]) for r in rules] == [count, count // 8]
+    for rule_pts, rule_weights, rule_scale in rules:
+        assert rule_weights.shape == (len(rule_pts),) and np.all(rule_weights > 0)
+        if _RULE_MEASURE[name] is not None:
             assert rule_scale * math.fsum(rule_weights) == pytest.approx(_RULE_MEASURE[name],
                                                                         rel=1e-14)
-            for c in m.constraints:
-                assert np.max(np.abs(c(rule_pts))) <= 1e-12, c.name
 
 
 @pytest.mark.parametrize("n, budget, orders", [
@@ -81,8 +80,8 @@ def test_toric_rule_on_an_ellipsoid_integrates_its_area_and_moments():
     a = 1.0 / np.sqrt(math.pi * np.asarray(w))
     ellipsoid = zoo.weighted_sphere(w)
     sphere = zoo.standard_sphere(2)
-    e_pts, e_weights, e_scale, _, _ = ellipsoid.reference_sampler(ellipsoid, 1 << 12, 0)
-    s_pts, s_weights, s_scale, _, _ = sphere.reference_sampler(sphere, 1 << 12, 0)
+    e_pts, e_weights, e_scale, _ = ellipsoid.reference_sampler(ellipsoid, 1 << 12)
+    s_pts, s_weights, s_scale, _ = sphere.reference_sampler(sphere, 1 << 12)
     axes = np.repeat(a, 2)
     assert e_scale == s_scale
     assert np.allclose(e_pts, s_pts * axes, rtol=0.0, atol=1e-15)
