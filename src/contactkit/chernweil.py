@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import ScalarField, VectorField
+from .fields import ScalarField, VectorField, _quadratic_fn
 from .hamiltonian import Hamiltonian, field_to_hamiltonian, hamiltonian
 from .integrate import IntegralResult, contact_volume, integrate
 from .manifold import ContactManifold, GeometryError
@@ -159,9 +159,15 @@ def moment_field(action: GroupAction, a, name: str = "") -> Hamiltonian:
     """The moment Hamiltonian of an algebra element, tagged Reeb-invariant.
 
     All bundled actions commute with the Reeb flow, so their moments are
-    invariant; tests confirm the tag by sampling.  For a linear action,
-    X(x) = L x, and a form x @ W + w0 the moment is quadratic; its
-    gradient map (WL + (WL)^T, w0 @ L) serves the ambient contact solve.
+    invariant; tests confirm the tag by sampling.  The moment is alpha(X),
+    the form summed against the fundamental field.  For a linear action,
+    X(x) = L x, and a form x @ W + w0 it is quadratic, with gradient map
+    (M, g0) = (WL + (WL)^T, w0 @ L).  The ambient contact solve reads dH
+    from the map, and the field's fn is built from it too: Horner by rows
+    of M's upper triangle on the coordinate list, with H(0) from one call
+    of alpha(X) at the origin (see fields._quadratic_fn), so floats, arrays
+    and Duals all work.  pullback_polynomial's integrands and the value of
+    H in a field solve read it.
     """
     a = action.validate_element(a)
     m, form_map = action.manifold, action.manifold.form.coefficient_map
@@ -169,7 +175,9 @@ def moment_field(action: GroupAction, a, name: str = "") -> Hamiltonian:
     field = field_to_hamiltonian(m, action.fundamental(a), name=name).field
     if action.matrix is not None and form_map is not None:
         wl = form_map[0] @ (lin := action.matrix(a))
-        field = ScalarField(field.fn, field.dim, name, gradient_map=(wl + wl.T, form_map[1] @ lin))
+        gradient_map = (wl + wl.T, form_map[1] @ lin)
+        fn = _quadratic_fn(gradient_map, float(field.fn([0.0] * field.dim)))
+        field = ScalarField(fn, field.dim, name, gradient_map=gradient_map)
     return Hamiltonian(field, m, reeb_invariant=True, name=name)
 
 

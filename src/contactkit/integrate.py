@@ -40,8 +40,9 @@ _HI_BITS, _LO_BITS = 27, 26
 _EPS = 2.0 ** -52
 # the rounding floor of a rule's error, in eps per unit of
 # sum |v|: the Schur density n! Pf(Omega) Pf(S) / |grad g| takes at most
-# 2d + 4 = 20 roundings on S^7 (d = 8), two d-term dot products and three
-# scalings, and a toric node and weight about 12 more
+# 2d + 4 = 20 roundings on S^7 (d = 8): S and |grad g|^2 are two d-term
+# sums over the squares x_a^2, then a root and three scalings; a toric
+# node and weight take about 12 more
 _ROUNDING = 32.0
 
 

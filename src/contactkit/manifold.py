@@ -16,11 +16,19 @@ complement of the contact system K where _schur_route holds, and of K
 itself everywhere else.
 
 Storage.  The densities keep ambient data component-major, the point
-index last and contiguous: the Schur route's rows B as planes (k+1, d, N),
-K as planes (d+1+k, d+1+k, N); OneForm.dmatrix works on planes D (m, m, N)
-and returns the view D.transpose(2, 0, 1), (N, m, m).  Sums over a
-component axis run in a fixed order of whole-plane additions (see _dot,
-_affine_planes), so a point gives the same bits alone as in a batch.
+index last and contiguous.  On the Schur route each entry of
+S = B Omega^-1 B^T between two mapped rows of B = [G; alpha], and the
+Gram entry |grad g|^2 of one mapped constraint, is a quadratic polynomial
+in x, built once per manifold (see _schur_polynomials) and read from the
+shared monomial planes x_a x_b (N,) (see _polynomial_planes).  Rows of B
+remain as planes (d, N) only where they are needed: a pair of S with a
+seeded row takes its plane products, and k = 3 takes its SVD rank test on
+the gradient planes.  K itself is kept as planes (d+1+k, d+1+k, N);
+OneForm.dmatrix works on planes D (m, m, N) and returns the view
+D.transpose(2, 0, 1), (N, m, m).  Every sum over a component or monomial
+axis of the planes runs in a fixed order of whole-plane multiply-adds (see
+_dot, _affine_planes, _polynomial_planes), so a point gives the same bits
+alone as in a batch.
 
 Constraints.  A constraint with a gradient_map (G, g0) is the quadratic
 c(x) = x . (grad c(x) + g0) / 2 + c(0), grad c(x) = x @ G + g0, with G
@@ -36,19 +44,22 @@ derivative, solves one square ambient system K with multipliers for alpha
 and the constraints (see _contact_solve).  One pass builds its rows (see
 _ambient_rows): where the constraints and the form are mapped, the rows
 B = [G; alpha] are one product with their maps side by side, stacked once
-per manifold.  K is invertible exactly where the form is contact.  The
-manifolds of _schur_route (k = 1 or 3 constraints and a mapped form with
-invertible d alpha) solve K through its (k+1) x (k+1) Schur complement
-S = B Omega^-1 B^T in closed form (see _schur_solve): one more product with
-the form's constants, taken once when the form is built (see
-_omega_factors), gives S and the blocks of K's Frobenius product, and one
-gather of S's entries gives Pf(S) and S^-1 (see _schur_factor).  A derivative solve shares
-that path; a value-only solve skips its derivative part and returns
-plain arrays.  The k = 0 charts and unmapped forms invert K once per call
-(see _ambient_data, _checked_inv).  Tangent vectors are projected from the
-constraint gradients (see _tangent_project), and reeb_residuals checks
-the solve against the seeded d alpha, independently of K.  tangent_frame
-is a reference for tests; no computation here uses it.
+per manifold, and a Hamiltonian's value is one plain call of its fn, which
+for a moment of a linear action is itself read from its gradient map (see
+chernweil.moment_field).  K is invertible exactly where the form is
+contact.  The manifolds of _schur_route (k = 1 or 3 constraints and a
+mapped form with invertible d alpha) solve K through its (k+1) x (k+1)
+Schur complement S = B Omega^-1 B^T in closed form (see _schur_solve): one
+more product with the form's constants, taken once when the form is built
+(see _omega_factors), gives S and the blocks of K's Frobenius product, and
+one gather of S's entries gives Pf(S) and S^-1 (see _schur_factor); their
+density reads S from its polynomials instead (see Storage).  A derivative
+solve shares that path; a value-only solve skips its derivative part and
+returns plain arrays.  The k = 0 charts and unmapped forms invert K once
+per call (see _ambient_data, _checked_inv).  Tangent vectors are projected
+from the constraint gradients (see _tangent_project), and reeb_residuals
+checks the solve against the seeded d alpha, independently of K.
+tangent_frame is a reference for tests; no computation here uses it.
 """
 
 from __future__ import annotations
@@ -61,7 +72,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dual import Dual, epsilon, seed, value
-from .fields import OneForm, ScalarField, _filled, _stack
+from .fields import OneForm, ScalarField, _filled, _quadratic_terms, _stack
 
 
 class GeometryError(Exception):
@@ -146,15 +157,30 @@ def _side_by_side(maps: list, d: int) -> tuple:
             np.concatenate([np.zeros(0)] + [a0 for _, a0 in maps]))
 
 
+_DEPENDENT = "constraint gradients are linearly dependent"
+
+
 def _gradient_volume(grads: np.ndarray) -> np.ndarray:
     """sqrt det(G G^T), the product of the singular values, of gradient planes
-    G (k, d, N), k >= 1: the norm for k = 1.  Raises DegenerateFrameError
-    where sigma_min <= 1e-10 sigma_max, for k = 1 where the gradient is zero."""
-    sv = (np.sqrt(_dot(grads[0], grads[0]))[:, None] if len(grads) == 1
-          else np.linalg.svd(grads.transpose(2, 0, 1), compute_uv=False))
+    G (k, d, N), k >= 1: the norm for k = 1 (see _gram_root).  Raises
+    DegenerateFrameError where sigma_min <= 1e-10 sigma_max."""
+    if len(grads) == 1:
+        return _gram_root(_dot(grads[0], grads[0]))
+    sv = np.linalg.svd(grads.transpose(2, 0, 1), compute_uv=False)
     if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
-        raise DegenerateFrameError("constraint gradients are linearly dependent")
+        raise DegenerateFrameError(_DEPENDENT)
     return math.prod(sv.T)
+
+
+def _gram_root(gram: np.ndarray) -> np.ndarray:
+    """The norms (N,) of one constraint's gradient from its Gram entries
+    |grad g|^2; a negative entry, which only rounding can give, counts as 0.
+    Raises DegenerateFrameError as _gradient_volume does, where
+    sigma <= 1e-10 sigma: where a norm is zero or infinite."""
+    norm = np.sqrt(np.maximum(gram, 0.0))
+    if np.any(norm <= 1e-10 * norm):
+        raise DegenerateFrameError(_DEPENDENT)
+    return norm
 
 
 def _normal_part(grads: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,11 +224,16 @@ class ContactManifold:
     # constraints and then alpha where the form has a coefficient_map, and
     # their maps side by side; set by __post_init__ for _ambient_rows
     _row_maps: tuple = field(default=(), init=False, repr=False, compare=False)
+    # (monomials, entries, gram) on the Schur route, () elsewhere: the
+    # polynomials in x of _ambient_density, set by __post_init__ (see
+    # _schur_polynomials)
+    _schur_polys: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Stack the constraints' gradient maps once, taking each mapped
         constraint's value at the origin by one call of its fn, and again
-        with the form's coefficient_map after them.  A quadratic's Hessian is
+        with the form's coefficient_map after them; on the Schur route, build
+        the density's polynomials from them.  A quadratic's Hessian is
         symmetric, so a map (G, g0) with G != G^T is a ValueError."""
         d = self.ambient_dim
         mapped = [i for i, c in enumerate(self.constraints) if c.gradient_map is not None]
@@ -217,6 +248,8 @@ class ContactManifold:
         if self.form.coefficient_map is not None:
             mapped, maps = mapped + [len(self.constraints)], maps + [self.form.coefficient_map]
         object.__setattr__(self, "_row_maps", (mapped,) + _side_by_side(maps, d))
+        if _schur_route(self):
+            object.__setattr__(self, "_schur_polys", _schur_polynomials(self))
 
     @property
     def dim(self) -> int:
@@ -436,6 +469,18 @@ class ContactManifold:
         the order constraints, alpha, ambient coordinates read M, a
         permutation of sign -1, so Pf(M) = -Pf(K).  For k = 0, M is the
         bordered matrix [[0, alpha], [-alpha^T, Omega]].
+
+        On the Schur route, an entry S_rc between two mapped rows, and
+        |grad g|^2 for k = 1 with a mapped constraint, are the polynomials
+        of _schur_polynomials, evaluated on the shared monomial planes
+        x_a x_b; the k = 1 volume is the root of the Gram polynomial under
+        _gradient_volume's test (see _gram_root), so zero and overflowed
+        gradients raise DegenerateFrameError, and no row of B is formed.
+        Planes remain for the rest: a pair with a seeded row takes
+        S_rc = B_r . Omega^-1 B_c^T from its rows' planes, and k = 3 takes
+        sqrt det(G G^T) from the singular values of the gradient planes.
+        Each step is elementwise on planes or a fixed-order whole-plane
+        sum, so a point keeps its bits alone and in a batch.
         """
         form, k, d = self.form, len(self.constraints), self.ambient_dim
         sign = (-1) ** (k * (k + 1) // 2) * self.frame_sign * math.factorial(self.n)
@@ -446,23 +491,35 @@ class ContactManifold:
             volume = _gradient_volume(planes[d + 1:, :d]) if k else 1.0
             order = tuple(range(d + 1, d + 1 + k)) + (d,) + tuple(range(d))
             return sign * _pfaffian(lambda r, c: planes[r, c], order) / volume
-        inv, form_map = form.omega_inv, form.coefficient_map
+        inv, (monomials, entries, gram) = form.omega_inv, self._schur_polys
         x = np.ascontiguousarray(q.T)
-        rows, coords = np.empty((k + 1,) + x.shape), None
-        for row, c in zip(rows, self.constraints):
-            if c.gradient_map is None:
-                coords = seed(list(x)) if coords is None else coords
-                row[...] = epsilon(c.fn(coords))
-            else:
-                row[...] = _affine_planes(c.gradient_map, x)
-        rows[k] = _affine_planes(form_map, x)
-        volume = _gradient_volume(rows[:k])
-        # P = B Omega^-1 and S = P B^T as in _schur_factor, but on planes: the
-        # whole-plane multiply-adds give the same bits alone as in a batch, and
-        # at quadrature sizes they beat the stacked products the few-point field
-        # solve uses (S^3 at 2^16 points: about 7 against 95 ms)
-        solved = [_affine_planes((inv.T, np.zeros(len(inv))), b) for b in rows[1:]]
-        schur = {(r, c): _dot(rows[r], s) for c, s in enumerate(solved, 1) for r in range(c)}
+        seeded = [r for r, c in enumerate(self.constraints) if c.gradient_map is None]
+        # gradient planes for the k = 3 rank test and the pairs with a seeded row
+        rows, coords = [None] * (k + 1), None
+        if k == 3 or seeded:
+            for r, c in enumerate(self.constraints):
+                if c.gradient_map is None:
+                    coords = seed(list(x)) if coords is None else coords
+                    rows[r] = _filled(epsilon(c.fn(coords)), x.shape)
+                else:
+                    rows[r] = _affine_planes(c.gradient_map, x)
+        if seeded:
+            rows[k] = _affine_planes(form.coefficient_map, x)
+        planes = {(a, b): x[a] * x[b] for a, b in monomials}
+        volume = (_gradient_volume(np.stack(rows[:k])) if gram is None
+                  else _gram_root(_polynomial_planes(gram, x, planes)))
+        # a pair with a seeded row takes S = P B^T, P = B Omega^-1 as in
+        # _schur_factor, on planes, where whole-plane multiply-adds keep a
+        # point's bits alone and in a batch
+        schur, solved = {}, {}
+        for c in range(1, k + 1):
+            for r in range(c):
+                if (r, c) in entries:
+                    schur[r, c] = _polynomial_planes(entries[r, c], x, planes)
+                    continue
+                if c not in solved:
+                    solved[c] = _affine_planes((inv.T, np.zeros(len(inv))), rows[c])
+                schur[r, c] = _dot(rows[r], solved[c])
         pf = _pfaffian(lambda r, c: schur[r, c], tuple(range(k + 1)))
         return sign * form.omega_pfaffian * pf / volume
 
@@ -570,14 +627,71 @@ def _affine(amap: tuple, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.
 
 
 def _affine_planes(amap: tuple, x: np.ndarray) -> np.ndarray:
-    """x @ A + a0 for a map (A, a0) on planes x (d, N), plane b summed over the
-    non-zero A[e, b] in index order: whole-plane multiply-adds, as in
-    OneForm.dmatrix, give the same bits alone as in a batch; BLAS need not."""
+    """x @ A + a0 for a map (A, a0) on planes x (d, N): plane b starts from
+    the product of its first non-zero A[e, b], adds a0[b] if it is non-zero,
+    and then the other products in index order.  Whole-plane multiply-adds,
+    as in OneForm.dmatrix, give the same bits alone as in a batch; BLAS
+    need not."""
     mat, shift = amap
-    out = np.repeat(shift[:, None], x.shape[1], axis=1)
+    out = np.empty((mat.shape[1], x.shape[1]))
     for b, column in enumerate(mat.T):
-        for e in np.flatnonzero(column):
+        nonzero = np.flatnonzero(column)
+        if not len(nonzero):
+            out[b] = shift[b]
+            continue
+        np.multiply(column[nonzero[0]], x[nonzero[0]], out=out[b])
+        if shift[b]:
+            out[b] += shift[b]
+        for e in nonzero[1:]:
             out[b] += column[e] * x[e]
+    return out
+
+
+def _schur_polynomials(m: ContactManifold) -> tuple:
+    """The polynomials in x of m's Schur density, m on the Schur route.
+
+    A row of B = [G; alpha] with a map (A, a0) is B_r(x) = x A_r + a_r, so
+    the Schur entry S_rc = B_r Omega^-1 B_c^T of two mapped rows is
+    x A_r Omega^-1 A_c^T x^T + x . (A_r Omega^-1 a_c + A_c Omega^-T a_r)
+    + a_r Omega^-1 a_c, and the Gram entry |grad g|^2 of one mapped
+    constraint (G, g0) is x G G^T x^T + 2 x . G g0 + g0 . g0.  Returns
+    (monomials, entries, gram): the pairs (a, b), a <= b, that their
+    quadratic terms read, in order; the entries by (r, c), r < c, both
+    rows mapped; and the Gram entry for k = 1 with a mapped constraint,
+    else None.  Each polynomial is kept as _quadratic_terms gives it."""
+    k, inv = len(m.constraints), m.form.omega_inv
+    maps = [c.gradient_map for c in m.constraints] + [m.form.coefficient_map]
+    entries = {}
+    for c in range(1, k + 1):
+        for r in range(c):
+            if maps[r] is not None and maps[c] is not None:
+                (a_r, s_r), (a_c, s_c) = maps[r], maps[c]
+                entries[r, c] = _quadratic_terms(a_r @ inv @ a_c.T,
+                                                 a_r @ (inv @ s_c) + a_c @ (inv.T @ s_r),
+                                                 s_r @ inv @ s_c)
+    gram = None
+    if k == 1 and maps[0] is not None:
+        mat, shift = maps[0]
+        gram = _quadratic_terms(mat @ mat.T, 2.0 * (mat @ shift), shift @ shift)
+    polys = list(entries.values()) + ([] if gram is None else [gram])
+    return sorted({ab for poly in polys for ab, _ in poly[0]}), entries, gram
+
+
+def _polynomial_planes(poly: tuple, x: np.ndarray, planes: dict) -> np.ndarray:
+    """A polynomial of _quadratic_terms on planes x (d, N), with the monomial
+    planes x_a x_b by (a, b): its terms times their planes, quadratic then
+    linear, added in order onto the first, and then its constant if it is
+    non-zero.  Whole-plane multiply-adds give the same bits alone as in a
+    batch."""
+    quad, lin, const = poly
+    terms = [(coef, planes[ab]) for ab, coef in quad] + [(coef, x[a]) for a, coef in lin]
+    if not terms:
+        return np.full(x.shape[1], const)
+    out = terms[0][0] * terms[0][1]
+    for coef, plane in terms[1:]:
+        out += coef * plane
+    if const:
+        out += const
     return out
 
 
@@ -771,7 +885,7 @@ def _pfaffian_inverse(rows: np.ndarray, size: int, step: int = 1) -> tuple:
 def _schur_factor(form: OneForm, b: np.ndarray) -> tuple:
     """P = B Omega^-1, Y = S^-T for S = P B^T, and |K|_F |K^-1|_F, for rows
     B = [G; alpha] (N, k+1, d) of a form with omega_inv (see _schur_solve);
-    ContactManifold._ambient_density forms P and S on planes instead.
+    ContactManifold._ambient_density reads S from polynomials instead.
 
     One product with the form's omega_powers [I | Omega^-1 | Omega^-1 Omega^-1]
     holds B, P and X = P Omega^-1 side by side; read as the 3(k+1) rows

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from contactkit import zoo
-from contactkit.chernweil import (diagonal_torus_action, moment_field, torus_shift_action,
+from contactkit.chernweil import (diagonal_torus_action, moment, moment_field, torus_shift_action,
                                   unitary_action)
 from contactkit.dual import Dual, epsilon, seed
 from contactkit.fields import OneForm, ScalarField
@@ -17,7 +17,7 @@ from contactkit.manifold import (ContactDegeneracyError, ContactManifold, Degene
                                  GeometryError, ProjectionError, _ambient_data, _matchings,
                                  _normal_part, _pfaffian, hamiltonian_field_with_derivative,
                                  reeb_with_derivative)
-from contactkit.hamiltonian import hamiltonian, hamiltonian_to_field
+from contactkit.hamiltonian import field_to_hamiltonian, hamiltonian, hamiltonian_to_field
 from conftest import counting_constraints, sample
 
 
@@ -682,7 +682,7 @@ def test_gradient_maps_match_the_seeded_gradients():
 
 
 def _moment_cases():
-    """Moment Hamiltonians of the linear actions: unitary on round spheres,
+    """(m, action, element) for the linear actions: unitary on round spheres,
     also at form scale 2.5, and the diagonal torus on S^3 and two ellipsoids."""
     rng = np.random.default_rng(19)
     spheres = (zoo.standard_sphere(1), zoo.standard_sphere(2), zoo.standard_sphere(3),
@@ -690,25 +690,106 @@ def _moment_cases():
     cases = []
     for m in spheres:
         action = unitary_action(m)
-        cases.append((m, moment_field(action, action.random_element(rng)).field))
+        cases.append((m, action, action.random_element(rng)))
     for m in (spheres[0], zoo.weighted_sphere([1.0, (1.0 + np.sqrt(5.0)) / 2.0]),
               zoo.weighted_sphere([1.0, 2.0, 3.0])):
         action = diagonal_torus_action(m)
-        cases.append((m, moment_field(action, action.random_element(rng)).field))
+        cases.append((m, action, action.random_element(rng)))
     return cases
 
 
+def _pairing(m, action, a):
+    """The moment as alpha(X) of the fundamental field, independent of moment_field's maps."""
+    return field_to_hamiltonian(m, action.fundamental(a)).field
+
+
 def test_moment_gradient_maps_match_the_seeded_gradients():
-    for m, h in _moment_cases():
+    for m, action, a in _moment_cases():
+        h = moment_field(action, a).field
         assert h.gradient_map is not None, m.key()
         pts = sample(m, 200, seed=11)
         jac, shift = h.gradient_map
         assert np.array_equal(jac, jac.T), m.key()
-        seeded = h.gradient(pts)
+        seeded = _pairing(m, action, a).gradient(pts)
         err = np.linalg.norm(pts @ jac + shift - seeded, axis=1)
         assert np.all(err <= 1e-15 * np.linalg.norm(seeded, axis=1)), m.key()
     # the torus shift action is not linear and the torus form has no map
     assert moment_field(torus_shift_action(zoo.torus3(1)), [1.0, 2.0]).field.gradient_map is None
+
+
+def test_moment_field_values_match_the_moment_pairing():
+    # the map-built fn on floats, (N,) arrays and one-layer Duals, against
+    # chernweil.moment and the seeded pairing, within 8 ulps of the largest
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(29)
+    for m, action, a in _moment_cases():
+        fn = moment_field(action, a).field.fn
+        pts = sample(m, 64, seed=29)
+        vecs = rng.normal(size=pts.shape)
+        exact = moment(action, pts, a)
+        slope = _pairing(m, action, a).directional(pts, vecs)
+        tol, slope_tol = 8 * eps * np.max(np.abs(exact)), 8 * eps * np.max(np.abs(slope))
+        values = fn(list(pts.T))
+        assert values.shape == (64,) and np.max(np.abs(values - exact)) <= tol, m.key()
+        for i in range(0, 64, 9):
+            alone = fn([float(c) for c in pts[i]])
+            assert isinstance(alone, float) and abs(alone - exact[i]) <= tol, m.key()
+        dual = fn(seed(list(pts.T), list(vecs.T)))
+        assert isinstance(dual, Dual), m.key()
+        assert np.max(np.abs(dual.val - exact)) <= tol, m.key()
+        assert np.max(np.abs(dual.eps - slope)) <= slope_tol, m.key()
+
+
+def _off_centre_quadric(count):
+    """The ellipsoid (x - c) G (x - c)^T / 2 = 1 in R^4, count points on it,
+    and its centre c.  G is symmetric and not diagonal, and c is off the
+    origin, which the ellipsoid encloses, so the gradient map (G, -c G) has
+    g0 != 0.  The form is the standard one plus a small constant w0, which
+    leaves d alpha alone and keeps it contact there.  G and c are dyadic,
+    so the gradient vanishes exactly at c."""
+    g = np.array([[2.0, 0.5, 0.25, 0.0], [0.5, 3.0, 0.0, -0.5],
+                  [0.25, 0.0, 2.5, 0.5], [0.0, -0.5, 0.5, 1.5]])
+    centre = np.array([0.125, -0.25, 0.0, 0.25])
+    entries, shift, w0 = g.tolist(), centre.tolist(), [0.0625, 0.0, -0.125, 0.03125]
+
+    def level(coords):
+        y = [coords[a] - shift[a] for a in range(4)]
+        return 0.5 * sum(entries[a][b] * y[a] * y[b] for a in range(4) for b in range(4)) - 1.0
+
+    standard = zoo.standard_sphere(1).form
+    form = OneForm(lambda c: [w + b for w, b in zip(standard.coef_fn(c), w0)], 4,
+                   coefficient_map=(standard.coefficient_map[0], np.array(w0)))
+    m = ContactManifold("quadric", 1, 4, form,
+                        (ScalarField(level, 4, "quadric", gradient_map=(g, -(centre @ g))),))
+    # rays t u from the origin: t^2 u G u / 2 - t u G c + c G c / 2 - 1 = 0
+    u = sample(zoo.standard_sphere(1), count, seed=37)
+    quad, lin = 0.5 * np.einsum("na,ab,nb->n", u, g, u), -(u @ g @ centre)
+    const = 0.5 * centre @ g @ centre - 1.0
+    t = (-lin + np.sqrt(lin * lin - 4.0 * quad * const)) / (2.0 * quad)
+    return m, t[:, None] * u, centre
+
+
+def test_off_centre_quadric_density_matches_the_square_system():
+    # the zoo's Schur polynomials are diagonal, with no linear or constant
+    # part; this quadric's S entry and Gram entry have all three
+    m, pts, centre = _off_centre_quadric(200)
+    _, entries, gram = m._schur_polys
+    for quad, lin, const in (entries[0, 1], gram):
+        assert any(a != b for (a, b), _ in quad) and lin and const
+    assert np.max(m.constraint_residual(pts)) <= 1e-14
+    defect, square = m.contact_defect(pts), _square_system(m).contact_defect(pts)
+    assert np.all(square > 0.0)
+    assert np.max(np.abs(defect - square) / square) <= 1e-14
+    for i in range(len(pts)):
+        alone = m.contact_defect(pts[i])
+        assert isinstance(alone, float) and alone == defect[i], i
+    assert np.array_equal(m.contact_defect(pts[5:9]), defect[5:9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (m.contact_defect, _square_system(m).contact_defect):
+            for bad in (centre, np.vstack([pts[:3], centre])):
+                with pytest.raises(DegenerateFrameError):
+                    call(bad)
 
 
 def _unmapped(m):
@@ -753,12 +834,14 @@ def test_mapped_form_with_singular_d_alpha_takes_the_pfaffian_of_k():
 
 def test_ambient_data_from_maps_matches_the_seeded_pass():
     rng = np.random.default_rng(23)
-    bare = [(m, None) for m in _constrained_zoo()
+    # (m, h, h's unmapped reference)
+    bare = [(m, None, None) for m in _constrained_zoo()
             + (zoo.standard_sphere(1).scaled(2.5), zoo.torus3(1))]
-    for m, h in bare + _moment_cases():
+    moments = [(m, moment_field(action, a).field, _pairing(m, action, a))
+               for m, action, a in _moment_cases()]
+    for m, h, stripped in bare + moments:
         pts = sample(m, 12, seed=23)
         vecs = m.random_tangents(pts, rng)
-        stripped = None if h is None else ScalarField(h.fn, h.dim, h.name)
         for dp in (vecs, np.stack([vecs, m.random_tangents(pts, rng), pts])):
             ours = _ambient_data(m, pts, dp, h)
             reference = _ambient_data(_unmapped(m), pts, dp, stripped)
