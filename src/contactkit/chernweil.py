@@ -164,8 +164,8 @@ def moment_field(action: GroupAction, a, name: str = "") -> Hamiltonian:
     X(x) = L x, and a form x @ W + w0 it is quadratic, with gradient map
     (M, g0) = (WL + (WL)^T, w0 @ L).  The ambient contact solve reads dH
     from the map, and the field's fn is built from it too: Horner by rows
-    of M's upper triangle on the coordinate list, with H(0) from one call
-    of alpha(X) at the origin (see fields._quadratic_fn), so floats, arrays
+    of M's upper triangle on the coordinate list, with H(0) = 0 since X
+    vanishes at the origin (see fields._quadratic_fn), so floats, arrays
     and Duals all work.  pullback_polynomial's integrands and the value of
     H in a field solve read it.
     """
@@ -176,8 +176,8 @@ def moment_field(action: GroupAction, a, name: str = "") -> Hamiltonian:
     if action.matrix is not None and form_map is not None:
         wl = form_map[0] @ (lin := action.matrix(a))
         gradient_map = (wl + wl.T, form_map[1] @ lin)
-        fn = _quadratic_fn(gradient_map, float(field.fn([0.0] * field.dim)))
-        field = ScalarField(fn, field.dim, name, gradient_map=gradient_map)
+        # X(0) = L 0 = 0, so alpha(X) vanishes at the origin
+        field = ScalarField(_quadratic_fn(gradient_map), field.dim, name, gradient_map=gradient_map)
     return Hamiltonian(field, m, reeb_invariant=True, name=name)
 
 

@@ -67,26 +67,25 @@ def _filled(x, shape):
     return out
 
 
-def _quadratic_terms(q: np.ndarray, lin: np.ndarray, const: float) -> tuple:
-    """The polynomial x Q x^T + lin . x + const by its non-zero terms, as
-    floats: ((a, b), Q_ab + Q_ba) for a < b and ((a, a), Q_aa), in index
-    order, then (a, lin_a), then const."""
+def _quadratic_terms(q: np.ndarray, lin: np.ndarray) -> tuple:
+    """The polynomial x Q x^T + lin . x by its non-zero terms, as floats:
+    ((a, b), Q_ab + Q_ba) for a < b and ((a, a), Q_aa), in index order,
+    then (a, lin_a)."""
     q, lin = np.asarray(q, dtype=float).tolist(), np.asarray(lin, dtype=float).tolist()
     quad = [((a, b), q[a][b] + q[b][a] if a < b else q[a][a])
             for a in range(len(lin)) for b in range(a, len(lin))]
-    return (tuple(t for t in quad if t[1]), tuple((a, v) for a, v in enumerate(lin) if v),
-            float(const))
+    return tuple(t for t in quad if t[1]), tuple((a, v) for a, v in enumerate(lin) if v)
 
 
-def _quadratic_fn(gradient_map: tuple, origin_value: float) -> Callable:
+def _quadratic_fn(gradient_map: tuple) -> Callable:
     """The coefficient function of the quadratic f(x) = x . (x @ G / 2 + g0)
-    + f(0) of a gradient_map (G, g0), G symmetric: Horner by rows of the
-    upper triangle, f = sum_a x_a (sum_{b >= a} c_ab x_b + g0_a) + f(0)
+    of a gradient_map (G, g0), G symmetric, with f(0) = 0: Horner by rows
+    of the upper triangle, f = sum_a x_a (sum_{b >= a} c_ab x_b + g0_a)
     with c_aa = G_aa / 2 and c_ab = G_ab, zero terms skipped.  It takes
     only products and sums of the coordinates, so floats, arrays and Duals
     all work."""
     mat, shift = gradient_map
-    quad, lin, const = _quadratic_terms(0.5 * mat, shift, origin_value)
+    quad, lin = _quadratic_terms(0.5 * mat, shift)
     by_row, lin = {}, dict(lin)
     for (a, b), coef in quad:
         by_row.setdefault(a, []).append((b, coef))
@@ -101,9 +100,7 @@ def _quadratic_fn(gradient_map: tuple, origin_value: float) -> Callable:
             if shift_a is not None:
                 inner = shift_a if inner is None else inner + shift_a
             total = coords[a] * inner if total is None else total + coords[a] * inner
-        if total is None:
-            return 0.0 * coords[0] + const
-        return total + const if const else total
+        return 0.0 * coords[0] if total is None else total
 
     return fn
 

@@ -41,8 +41,11 @@ _EPS = 2.0 ** -52
 # the rounding floor of a rule's error, in eps per unit of
 # sum |v|: the Schur density n! Pf(Omega) Pf(S) / |grad g| takes at most
 # 2d + 4 = 20 roundings on S^7 (d = 8): S and |grad g|^2 are two d-term
-# sums over the squares x_a^2, then a root and three scalings; a toric
-# node and weight take about 12 more
+# sums over the squares y_a^2 about the sphere's centre, then a root and
+# three scalings; a toric node and weight take about 12 more.  Every
+# term is of the size of the sum on the zoo's spheres and ellipsoids; on
+# a rotated quadric S's terms can reach kappa(G) times it, as the plane
+# products' can, so there the floor holds only for a well-conditioned G
 _ROUNDING = 32.0
 
 

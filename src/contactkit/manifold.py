@@ -18,17 +18,22 @@ itself everywhere else.
 Storage.  The densities keep ambient data component-major, the point
 index last and contiguous.  On the Schur route each entry of
 S = B Omega^-1 B^T between two mapped rows of B = [G; alpha], and the
-Gram entry |grad g|^2 of one mapped constraint, is a quadratic polynomial
-in x, built once per manifold (see _schur_polynomials) and read from the
-shared monomial planes x_a x_b (N,) (see _polynomial_planes).  Rows of B
-remain as planes (d, N) only where they are needed: a pair of S with a
-seeded row takes its plane products, and k = 3 takes its SVD rank test on
-the gradient planes.  K itself is kept as planes (d+1+k, d+1+k, N);
-OneForm.dmatrix works on planes D (m, m, N) and returns the view
-D.transpose(2, 0, 1), (N, m, m).  Every sum over a component or monomial
-axis of the planes runs in a fixed order of whole-plane multiply-adds (see
-_dot, _affine_planes, _polynomial_planes), so a point gives the same bits
-alone as in a batch.
+Gram entry |grad g|^2 of one mapped constraint where G G^T is diagonal,
+is a quadratic polynomial in y = x - x0, about a centre x0 where the
+constraint gradients vanish, built once per manifold (see
+_schur_polynomials) and read from the shared monomial planes y_a y_b (N,)
+(see _polynomial_planes).  Its terms are of the size of its value, so it
+rounds as the plane products would.  Rows of B remain as planes (d, N)
+only where they are needed: a pair of S with a seeded row, or with a
+shifted constraint that no centre zeroes, takes its plane products, and
+the volume for k = 3 (an SVD rank test) or for a G G^T with cross terms
+(a norm) comes from the gradient planes.  K itself is kept as planes
+(d+1+k, d+1+k, N); OneForm.dmatrix works on planes D (m, m, N) and
+returns the view D.transpose(2, 0, 1), (N, m, m).  Every sum over a
+component or monomial axis of the planes runs in a fixed order of
+whole-plane multiply-adds (see _dot, _affine_planes, _polynomial_planes),
+and the rest is elementwise, so a point gives the same bits alone as in a
+batch.
 
 Constraints.  A constraint with a gradient_map (G, g0) is the quadratic
 c(x) = x . (grad c(x) + g0) / 2 + c(0), grad c(x) = x @ G + g0, with G
@@ -471,16 +476,18 @@ class ContactManifold:
         bordered matrix [[0, alpha], [-alpha^T, Omega]].
 
         On the Schur route, an entry S_rc between two mapped rows, and
-        |grad g|^2 for k = 1 with a mapped constraint, are the polynomials
-        of _schur_polynomials, evaluated on the shared monomial planes
-        x_a x_b; the k = 1 volume is the root of the Gram polynomial under
-        _gradient_volume's test (see _gram_root), so zero and overflowed
-        gradients raise DegenerateFrameError, and no row of B is formed.
-        Planes remain for the rest: a pair with a seeded row takes
-        S_rc = B_r . Omega^-1 B_c^T from its rows' planes, and k = 3 takes
-        sqrt det(G G^T) from the singular values of the gradient planes.
-        Each step is elementwise on planes or a fixed-order whole-plane
-        sum, so a point keeps its bits alone and in a batch.
+        |grad g|^2 for k = 1 with a mapped constraint and a diagonal G G^T,
+        are the polynomials of _schur_polynomials, evaluated on the shared
+        monomial planes y_a y_b of y = x - x0; the k = 1 volume is then the
+        root of the Gram polynomial under _gradient_volume's test (see
+        _gram_root), so zero and overflowed gradients raise
+        DegenerateFrameError.  Planes remain for the rest: a pair with a
+        planar row (seeded, or shifted with no centre) takes
+        S_rc = B_r . Omega^-1 B_c^T from its rows' planes, and the volume
+        for k = 3, or for a Gram entry with cross terms, comes from the
+        gradient planes y G (see _gradient_volume).  Each step is
+        elementwise on planes or a fixed-order whole-plane sum, so a point
+        keeps its bits alone and in a batch.
         """
         form, k, d = self.form, len(self.constraints), self.ambient_dim
         sign = (-1) ** (k * (k + 1) // 2) * self.frame_sign * math.factorial(self.n)
@@ -491,31 +498,33 @@ class ContactManifold:
             volume = _gradient_volume(planes[d + 1:, :d]) if k else 1.0
             order = tuple(range(d + 1, d + 1 + k)) + (d,) + tuple(range(d))
             return sign * _pfaffian(lambda r, c: planes[r, c], order) / volume
-        inv, (monomials, entries, gram) = form.omega_inv, self._schur_polys
+        inv, (centre, planar, monomials, entries, gram) = form.omega_inv, self._schur_polys
         x = np.ascontiguousarray(q.T)
-        seeded = [r for r, c in enumerate(self.constraints) if c.gradient_map is None]
-        # gradient planes for the k = 3 rank test and the pairs with a seeded row
+        y = x if centre is None else x - centre[:, None]
+        # gradient planes, about the centre, for the k = 3 rank test, a Gram
+        # entry with no polynomial and the pairs with a planar row
         rows, coords = [None] * (k + 1), None
-        if k == 3 or seeded:
+        if gram is None:
             for r, c in enumerate(self.constraints):
                 if c.gradient_map is None:
                     coords = seed(list(x)) if coords is None else coords
                     rows[r] = _filled(epsilon(c.fn(coords)), x.shape)
                 else:
-                    rows[r] = _affine_planes(c.gradient_map, x)
-        if seeded:
+                    mat, shift = c.gradient_map
+                    rows[r] = _affine_planes((mat, np.zeros(d) if centre is not None else shift), y)
+        if planar:
             rows[k] = _affine_planes(form.coefficient_map, x)
-        planes = {(a, b): x[a] * x[b] for a, b in monomials}
+        planes = {(a, b): y[a] * y[b] for a, b in monomials}
         volume = (_gradient_volume(np.stack(rows[:k])) if gram is None
-                  else _gram_root(_polynomial_planes(gram, x, planes)))
-        # a pair with a seeded row takes S = P B^T, P = B Omega^-1 as in
+                  else _gram_root(_polynomial_planes(gram, y, planes)))
+        # a pair with a planar row takes S = P B^T, P = B Omega^-1 as in
         # _schur_factor, on planes, where whole-plane multiply-adds keep a
         # point's bits alone and in a batch
         schur, solved = {}, {}
         for c in range(1, k + 1):
             for r in range(c):
                 if (r, c) in entries:
-                    schur[r, c] = _polynomial_planes(entries[r, c], x, planes)
+                    schur[r, c] = _polynomial_planes(entries[r, c], y, planes)
                     continue
                 if c not in solved:
                     solved[c] = _affine_planes((inv.T, np.zeros(len(inv))), rows[c])
@@ -627,71 +636,81 @@ def _affine(amap: tuple, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.
 
 
 def _affine_planes(amap: tuple, x: np.ndarray) -> np.ndarray:
-    """x @ A + a0 for a map (A, a0) on planes x (d, N): plane b starts from
-    the product of its first non-zero A[e, b], adds a0[b] if it is non-zero,
-    and then the other products in index order.  Whole-plane multiply-adds,
-    as in OneForm.dmatrix, give the same bits alone as in a batch; BLAS
-    need not."""
+    """x @ A + a0 for a map (A, a0) on planes x (d, N), plane b summed over the
+    non-zero A[e, b] in index order: whole-plane multiply-adds, as in
+    OneForm.dmatrix, give the same bits alone as in a batch; BLAS need not."""
     mat, shift = amap
-    out = np.empty((mat.shape[1], x.shape[1]))
+    out = np.repeat(shift[:, None], x.shape[1], axis=1)
     for b, column in enumerate(mat.T):
-        nonzero = np.flatnonzero(column)
-        if not len(nonzero):
-            out[b] = shift[b]
-            continue
-        np.multiply(column[nonzero[0]], x[nonzero[0]], out=out[b])
-        if shift[b]:
-            out[b] += shift[b]
-        for e in nonzero[1:]:
+        for e in np.flatnonzero(column):
             out[b] += column[e] * x[e]
     return out
 
 
 def _schur_polynomials(m: ContactManifold) -> tuple:
-    """The polynomials in x of m's Schur density, m on the Schur route.
+    """The polynomials of m's Schur density, m on the Schur route, in
+    y = x - x0 about a centre x0 where its constraints' gradients vanish.
 
-    A row of B = [G; alpha] with a map (A, a0) is B_r(x) = x A_r + a_r, so
-    the Schur entry S_rc = B_r Omega^-1 B_c^T of two mapped rows is
-    x A_r Omega^-1 A_c^T x^T + x . (A_r Omega^-1 a_c + A_c Omega^-T a_r)
-    + a_r Omega^-1 a_c, and the Gram entry |grad g|^2 of one mapped
-    constraint (G, g0) is x G G^T x^T + 2 x . G g0 + g0 . g0.  Returns
-    (monomials, entries, gram): the pairs (a, b), a <= b, that their
-    quadratic terms read, in order; the entries by (r, c), r < c, both
-    rows mapped; and the Gram entry for k = 1 with a mapped constraint,
-    else None.  Each polynomial is kept as _quadratic_terms gives it."""
-    k, inv = len(m.constraints), m.form.omega_inv
-    maps = [c.gradient_map for c in m.constraints] + [m.form.coefficient_map]
-    entries = {}
-    for c in range(1, k + 1):
-        for r in range(c):
-            if maps[r] is not None and maps[c] is not None:
-                (a_r, s_r), (a_c, s_c) = maps[r], maps[c]
-                entries[r, c] = _quadratic_terms(a_r @ inv @ a_c.T,
-                                                 a_r @ (inv @ s_c) + a_c @ (inv.T @ s_r),
-                                                 s_r @ inv @ s_c)
-    gram = None
-    if k == 1 and maps[0] is not None:
-        mat, shift = maps[0]
-        gram = _quadratic_terms(mat @ mat.T, 2.0 * (mat @ shift), shift @ shift)
+    The centre is the origin where no mapped constraint has a shift, and
+    for k = 1 with an invertible G the critical point of the constraint,
+    x0 G = -g0.  The other constraints with a shift, and the seeded ones,
+    keep their rows as planes (planar).  Each other mapped row of
+    B = [G; alpha] is B_r = y A_r + b_r, with b_r = 0 for a constraint and
+    b = x0 A + a0 for alpha, so the Schur entry S_rc = B_r Omega^-1 B_c^T
+    of two of them is y A_r Omega^-1 A_c^T y^T + y . A_r Omega^-1 b_c, and
+    the Gram entry |grad g|^2 of one constraint is y G G^T y^T.  Their
+    terms are then of the size of their values, where about the origin a
+    quadric centred at c would sum terms of size |x|^2 into values of size
+    |x - c|^2.  Taking b = 0 drops x0 G + g0, the rounding of the centre,
+    which moves the gradient as much as forming x G + g0 does.
+
+    The Gram polynomial is kept only where G G^T is diagonal, so that its
+    terms are non-negative: with cross terms they can be kappa(G)^2 times
+    its value, where the norm of the gradient planes y G loses kappa(G).
+
+    Returns (centre or None for the origin, planar, monomials, entries,
+    gram): the planar constraint rows; the pairs (a, b), a <= b, that the
+    quadratic terms read, in order; the entries by (r, c), r < c, neither
+    row planar; and the Gram entry for k = 1 with a constraint that is not
+    planar and a diagonal G G^T, else None.  Each polynomial is kept as
+    _quadratic_terms gives it."""
+    k, inv, d = len(m.constraints), m.form.omega_inv, m.ambient_dim
+    maps = [c.gradient_map for c in m.constraints]
+    centre = None
+    if k == 1 and maps[0] is not None and np.any(maps[0][1]):
+        try:
+            centre = -np.linalg.solve(*maps[0])
+        except np.linalg.LinAlgError:
+            pass
+    mats = [None if a is None or (centre is None and np.any(a[1])) else a[0] for a in maps]
+    planar = tuple(r for r, mat in enumerate(mats) if mat is None)
+    form_mat, form_shift = m.form.coefficient_map
+    mats.append(form_mat)
+    shifts = [np.zeros(d)] * k + [form_shift if centre is None else centre @ form_mat + form_shift]
+    entries = {(r, c): _quadratic_terms(mats[r] @ inv @ mats[c].T, mats[r] @ (inv @ shifts[c]))
+               for c in range(1, k + 1) for r in range(c)
+               if mats[r] is not None and mats[c] is not None}
+    gram = (_quadratic_terms(mats[0] @ mats[0].T, np.zeros(d))
+            if k == 1 and mats[0] is not None else None)
+    if gram is not None and any(a != b for (a, b), _ in gram[0]):
+        gram = None
     polys = list(entries.values()) + ([] if gram is None else [gram])
-    return sorted({ab for poly in polys for ab, _ in poly[0]}), entries, gram
+    monomials = sorted({ab for poly in polys for ab, _ in poly[0]})
+    return centre, planar, monomials, entries, gram
 
 
-def _polynomial_planes(poly: tuple, x: np.ndarray, planes: dict) -> np.ndarray:
-    """A polynomial of _quadratic_terms on planes x (d, N), with the monomial
-    planes x_a x_b by (a, b): its terms times their planes, quadratic then
-    linear, added in order onto the first, and then its constant if it is
-    non-zero.  Whole-plane multiply-adds give the same bits alone as in a
-    batch."""
-    quad, lin, const = poly
-    terms = [(coef, planes[ab]) for ab, coef in quad] + [(coef, x[a]) for a, coef in lin]
+def _polynomial_planes(poly: tuple, y: np.ndarray, planes: dict) -> np.ndarray:
+    """A polynomial of _quadratic_terms on planes y (d, N), with the monomial
+    planes y_a y_b by (a, b): its terms times their planes, quadratic then
+    linear, added in order onto the first.  Whole-plane multiply-adds give
+    the same bits alone as in a batch."""
+    quad, lin = poly
+    terms = [(coef, planes[ab]) for ab, coef in quad] + [(coef, y[a]) for a, coef in lin]
     if not terms:
-        return np.full(x.shape[1], const)
+        return np.zeros(y.shape[1])
     out = terms[0][0] * terms[0][1]
     for coef, plane in terms[1:]:
         out += coef * plane
-    if const:
-        out += const
     return out
 
 

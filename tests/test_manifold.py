@@ -740,56 +740,85 @@ def test_moment_field_values_match_the_moment_pairing():
         assert np.max(np.abs(dual.eps - slope)) <= slope_tol, m.key()
 
 
-def _off_centre_quadric(count):
+def _off_centre_quadric(count, scale, form_centre):
     """The ellipsoid (x - c) G (x - c)^T / 2 = 1 in R^4, count points on it,
-    and its centre c.  G is symmetric and not diagonal, and c is off the
-    origin, which the ellipsoid encloses, so the gradient map (G, -c G) has
-    g0 != 0.  The form is the standard one plus a small constant w0, which
-    leaves d alpha alone and keeps it contact there.  G and c are dyadic,
-    so the gradient vanishes exactly at c."""
+    and its centre c = scale (1/8, -1/4, 0, 1/4).  G is symmetric and not
+    diagonal, and c is off the origin, so the gradient map (G, -c G) has
+    g0 != 0.  The form is the standard one about p, (x - p) @ W, plus a
+    small constant w0, where p is c if form_centre and else the origin,
+    which the ellipsoid must then enclose: a constant leaves d alpha alone,
+    and the form is contact where the ellipsoid is star-shaped about p.
+    G, c and p are dyadic, so the gradient vanishes exactly at c."""
     g = np.array([[2.0, 0.5, 0.25, 0.0], [0.5, 3.0, 0.0, -0.5],
                   [0.25, 0.0, 2.5, 0.5], [0.0, -0.5, 0.5, 1.5]])
-    centre = np.array([0.125, -0.25, 0.0, 0.25])
-    entries, shift, w0 = g.tolist(), centre.tolist(), [0.0625, 0.0, -0.125, 0.03125]
+    centre = scale * np.array([0.125, -0.25, 0.0, 0.25])
+    standard = zoo.standard_sphere(1).form
+    w0 = np.array([0.0625, 0.0, -0.125, 0.03125])
+    if form_centre:
+        w0 = w0 - centre @ standard.coefficient_map[0]
+    entries, shift, constant = g.tolist(), centre.tolist(), w0.tolist()
 
     def level(coords):
         y = [coords[a] - shift[a] for a in range(4)]
         return 0.5 * sum(entries[a][b] * y[a] * y[b] for a in range(4) for b in range(4)) - 1.0
 
-    standard = zoo.standard_sphere(1).form
-    form = OneForm(lambda c: [w + b for w, b in zip(standard.coef_fn(c), w0)], 4,
-                   coefficient_map=(standard.coefficient_map[0], np.array(w0)))
+    form = OneForm(lambda c: [w + b for w, b in zip(standard.coef_fn(c), constant)], 4,
+                   coefficient_map=(standard.coefficient_map[0], w0))
     m = ContactManifold("quadric", 1, 4, form,
                         (ScalarField(level, 4, "quadric", gradient_map=(g, -(centre @ g))),))
-    # rays t u from the origin: t^2 u G u / 2 - t u G c + c G c / 2 - 1 = 0
+    # rays t u from the centre: t^2 u G u / 2 = 1
     u = sample(zoo.standard_sphere(1), count, seed=37)
-    quad, lin = 0.5 * np.einsum("na,ab,nb->n", u, g, u), -(u @ g @ centre)
-    const = 0.5 * centre @ g @ centre - 1.0
-    t = (-lin + np.sqrt(lin * lin - 4.0 * quad * const)) / (2.0 * quad)
-    return m, t[:, None] * u, centre
+    t = np.sqrt(2.0 / np.einsum("na,ab,nb->n", u, g, u))
+    return m, centre + t[:, None] * u, centre
 
 
 def test_off_centre_quadric_density_matches_the_square_system():
-    # the zoo's Schur polynomials are diagonal, with no linear or constant
-    # part; this quadric's S entry and Gram entry have all three
-    m, pts, centre = _off_centre_quadric(200)
-    _, entries, gram = m._schur_polys
-    for quad, lin, const in (entries[0, 1], gram):
-        assert any(a != b for (a, b), _ in quad) and lin and const
-    assert np.max(m.constraint_residual(pts)) <= 1e-14
+    # the zoo's Schur polynomials are diagonal, with no linear part; these
+    # quadrics' S entry has off-diagonal and linear terms, about a centre
+    # that is off the origin, once inside the ellipsoid and once 9-15 radii
+    # away, where an expansion about the origin misses by 8e-14
+    for scale, form_centre in ((1.0, False), (32.0, True)):
+        m, pts, centre = _off_centre_quadric(200, scale, form_centre)
+        at, planar, _, entries, gram = m._schur_polys
+        assert np.array_equal(at, centre) and planar == () and list(entries) == [(0, 1)]
+        quad, lin = entries[0, 1]
+        assert any(a != b for (a, b), _ in quad) and lin
+        # G G^T is not diagonal, so |grad g| comes from the gradient planes
+        assert gram is None
+        assert np.max(m.constraint_residual(pts)) <= 1e-14 * scale
+        defect, square = m.contact_defect(pts), _square_system(m).contact_defect(pts)
+        assert np.all(square > 0.0)
+        assert np.max(np.abs(defect - square) / square) <= 1e-14, scale
+        for i in range(len(pts)):
+            alone = m.contact_defect(pts[i])
+            assert isinstance(alone, float) and alone == defect[i], i
+        assert np.array_equal(m.contact_defect(pts[5:9]), defect[5:9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (m.contact_defect, _square_system(m).contact_defect):
+                for bad in (centre, np.vstack([pts[:3], centre])):
+                    with pytest.raises(DegenerateFrameError):
+                        call(bad)
+
+
+def test_rotated_quadric_takes_its_gradient_norm_from_the_planes():
+    # G = H diag(64, 1, 2, 1) H, H the symmetric Hadamard rotation: a Gram
+    # polynomial y G G^T y^T would sum terms up to kappa^2 = 4096 times its
+    # value and miss the square system by 5e-14; the gradient planes' norm
+    # loses only kappa
+    h = 0.5 * np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+                        [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+    g = h @ np.diag([64.0, 1.0, 2.0, 1.0]) @ h
+    entries = g.tolist()
+    level = lambda c: 0.5 * sum(entries[a][b] * c[a] * c[b] for a in range(4) for b in range(4)) - 1.0
+    m = ContactManifold("rotated", 1, 4, zoo.standard_sphere(1).form,
+                        (ScalarField(level, 4, "rotated", gradient_map=(g, np.zeros(4))),))
+    at, planar, _, _, gram = m._schur_polys
+    assert at is None and planar == () and gram is None
+    u = sample(zoo.standard_sphere(1), 2000, seed=3)
+    pts = np.sqrt(2.0 / np.einsum("na,ab,nb->n", u, g, u))[:, None] * u
     defect, square = m.contact_defect(pts), _square_system(m).contact_defect(pts)
-    assert np.all(square > 0.0)
-    assert np.max(np.abs(defect - square) / square) <= 1e-14
-    for i in range(len(pts)):
-        alone = m.contact_defect(pts[i])
-        assert isinstance(alone, float) and alone == defect[i], i
-    assert np.array_equal(m.contact_defect(pts[5:9]), defect[5:9])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for call in (m.contact_defect, _square_system(m).contact_defect):
-            for bad in (centre, np.vstack([pts[:3], centre])):
-                with pytest.raises(DegenerateFrameError):
-                    call(bad)
+    assert np.max(np.abs(defect - square) / np.abs(square)) <= 1e-14
 
 
 def _unmapped(m):
