@@ -198,11 +198,26 @@ def action_strictness(action: GroupAction, elements=None, t: float = 0.5,
 
 
 def _product_field(m: ContactManifold, hams: Sequence[Hamiltonian]) -> ScalarField:
+    """The product of the Hamiltonians' fields.  Each distinct field object
+    is evaluated once per call, and the values are multiplied left to
+    right, so a repeated factor costs one evaluation and the product keeps
+    the bits of one evaluation per factor."""
     fields = [h.field if isinstance(h, Hamiltonian) else h for h in hams]
-    out = fields[0]
-    for f in fields[1:]:
-        out = out * f
-    return out
+    if len(fields) == 1:
+        return fields[0]
+    if any(f.dim != fields[0].dim for f in fields):
+        raise ValueError("field dimensions differ")
+    fns, keys = {id(f): f.fn for f in fields}, [id(f) for f in fields]
+
+    def fn(coords):
+        vals = {key: g(coords) for key, g in fns.items()}
+        out = vals[keys[0]]
+        for key in keys[1:]:
+            out = out * vals[key]
+        return out
+
+    name = f"({fields[0].name}*...)" if fields[0].name else ""
+    return ScalarField(fn, fields[0].dim, name=name)
 
 
 def invariant_polynomial_I(m: ContactManifold, hams: Sequence[Hamiltonian],
@@ -229,8 +244,15 @@ def pullback_polynomial(action: GroupAction, elements: Sequence,
                         budget: int = 1 << 17, seed: int = 0,
                         threads: Optional[int] = None) -> IntegralResult:
     """Invariant polynomial evaluated on moment Hamiltonians of elements;
-    seed is ignored, since every rule is deterministic."""
-    hams = [moment_field(action, a) for a in elements]
+    seed is ignored, since every rule is deterministic.  One moment
+    Hamiltonian is built per distinct element object, so a repeated
+    element, as in [a] * k, is evaluated once per chunk (see
+    _product_field)."""
+    built = {}
+    for a in elements:
+        if id(a) not in built:
+            built[id(a)] = moment_field(action, a)
+    hams = [built[id(a)] for a in elements]
     return invariant_polynomial_I(action.manifold, hams, budget=budget,
                                   seed=seed, threads=threads)
 

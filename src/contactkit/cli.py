@@ -7,8 +7,9 @@
     contactkit preq --normalize-period 2pi
 
 Results are JSON records (stdout, or ``--output`` file); trajectories
-and tables are CSV.  Floats are printed as their shortest repr, which
-round-trips exactly.  Every record carries the seed and a
+and tables are CSV, written next to the JSON file, so without
+``--output`` no file is written.  Floats are printed as their shortest
+repr, which round-trips exactly.  Every record carries the seed and a
 timestamp; identical config and seed reproduce identical output up to
 the timestamp line.
 
@@ -268,7 +269,9 @@ def _cmd_flow(args) -> int:
         if m.ambient_dim < min_dim:
             raise UsageError(f"observable '{args.observable}' needs ambient "
                              f"dimension >= {min_dim}")
-    stem = _output_stem(args.output or "flow")
+    # the trajectory CSV goes next to the JSON file, and without --output nowhere
+    stem = _output_stem(args.output) if args.output else None
+    json_path = None if stem is None else stem + ".json"
     report = {
         "command": "flow",
         "manifold": m.key(),
@@ -282,8 +285,9 @@ def _cmd_flow(args) -> int:
     try:
         traj = integrate_flow(m, field, start, args.T,
                               tol=args.tol, max_step=args.max_step)
-        traj.to_csv(stem + ".csv")
-        report["trajectory_csv"] = stem + ".csv"
+        if stem is not None:
+            traj.to_csv(stem + ".csv")
+            report["trajectory_csv"] = stem + ".csv"
         report.update(traj.stats())
         if args.t_min is not None and args.t_min < traj.total_time:
             t_ret, d_ret = min_return_distance(traj, args.t_min)
@@ -296,14 +300,14 @@ def _cmd_flow(args) -> int:
     except (IntegrationError, GeometryError) as exc:
         report["error"] = str(exc)
         report["pass"] = False
-        _emit(report, stem + ".json" if args.output else None)
+        _emit(report, json_path)
         return 1
     if args.observable is not None:
         avg = birkhoff_average(traj, observable)
         report["observable"] = args.observable
         report["birkhoff_average"] = float(avg[-1])
     report["pass"] = True
-    _emit(report, stem + ".json" if args.output else None)
+    _emit(report, json_path)
     return 0
 
 

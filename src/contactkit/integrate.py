@@ -10,7 +10,11 @@ at halved orders.  ``std_error`` is the gap |Q - Q'| between the two
 values plus a rounding floor _ROUNDING * eps * scale * sum |v|.
 
 Evaluation is chunked, optionally across a thread pool
-(``CONTACTKIT_THREADS``).  Each chunk's sums are kept exact, as an
+(``CONTACTKIT_THREADS``).  A chunk is a view of the rule's points, never
+a copy: a round sphere's rule is shared between calls and read-only
+(see zoo._sphere_rule), so an integrand must not write into its block,
+and the density reads the coordinate planes of a toric rule's chunk in
+place.  Each chunk's sums are kept exact, as an
 integer times a power of two, and the total is rounded once, which is
 what ``math.fsum`` of all the values returns.  A chunk of the rule also
 sums |v|, which takes one more exact sum only where some v is negative.

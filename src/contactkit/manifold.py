@@ -16,7 +16,11 @@ complement of the contact system K where _schur_route holds, and of K
 itself everywhere else.
 
 Storage.  The densities keep ambient data component-major, the point
-index last and contiguous.  On the Schur route each entry of
+index last and contiguous.  The points' coordinate rows (d, N) are read
+in place where each is already contiguous, as in a chunk of the toric
+rules, which store their nodes as coordinate planes, and are copied for
+any other layout; either way every row holds the same values, so the
+bits do not depend on the layout.  On the Schur route each entry of
 S = B Omega^-1 B^T between two mapped rows of B = [G; alpha], and the
 Gram entry |grad g|^2 of one mapped constraint where G G^T is diagonal,
 is a quadratic polynomial in y = x - x0, about a centre x0 where the
@@ -499,7 +503,9 @@ class ContactManifold:
             order = tuple(range(d + 1, d + 1 + k)) + (d,) + tuple(range(d))
             return sign * _pfaffian(lambda r, c: planes[r, c], order) / volume
         inv, (centre, planar, monomials, entries, gram) = form.omega_inv, self._schur_polys
-        x = np.ascontiguousarray(q.T)
+        # coordinate rows (d, N), read in place where they are contiguous, as
+        # in a chunk of the toric rules' planes, and copied otherwise
+        x = q.T if q.strides[0] == q.itemsize else np.ascontiguousarray(q.T)
         y = x if centre is None else x - centre[:, None]
         # gradient planes, about the centre, for the k = 3 rank test, a Gram
         # entry with no polynomial and the pairs with a planar row

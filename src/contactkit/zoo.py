@@ -8,7 +8,9 @@ companion)`` of ``integrate``; the companion (points, weights or None,
 scale) is the same rule at halved orders, for the error.  Every rule is
 a deterministic product rule: round spheres and ellipsoids take
 Gauss-Jacobi on the simplex of the |z_j|^2 times uniform angle grids
-(see _toric_reference); the flat torus takes a product trapezoid grid;
+(see _toric_reference), a round sphere's built once per dimension and
+node count and shared read-only (see _sphere_rule), an ellipsoid's on
+each call; the flat torus takes a product trapezoid grid;
 the cotangent bundle takes Gauss-Legendre in cos(theta) times uniform
 grids in the azimuth and the fiber angle (see _cotangent_reference).
 Complex coordinates z_j = x_j + i y_j on R^(2n+2) are stored
@@ -127,7 +129,9 @@ def _toric_reference(a: np.ndarray, budget: int) -> tuple:
     order, and g Gauss nodes integrate polynomials of degree 2g - 1 in u,
     so a product of k quadratic moment Hamiltonians needs more than k
     angles per axis and k/2 nodes per factor (Stroud 1971, ch. 2-3).  The
-    error estimate of ``integrate`` takes the companion's gap.
+    error estimate of ``integrate`` takes the companion's gap.  Each call
+    builds the rule afresh; the round spheres share theirs, built once and
+    read-only (see _sphere_rule).
     """
     angles, factors = _toric_orders(len(a) - 1, _sample_count(budget))
     return _toric_rule(a, angles, factors) + (_toric_rule(a, _halved(angles), _halved(factors)),)
@@ -171,9 +175,24 @@ def _s2_reference(budget: int, area: float) -> tuple:
 # round spheres
 
 
+@lru_cache(maxsize=8)
+def _sphere_rule(n: int, count: int) -> tuple:
+    """The toric rule (see _toric_reference) with count nodes on the unit
+    S^(2n+1), built once and shared by every call: its arrays are
+    read-only, and ``integrate`` reads its chunks in place, with the bits
+    of a fresh build.  At most 8 (n, count) pairs are kept, which bounds
+    the memory the rules hold."""
+    rule = _toric_reference(np.ones(n + 1), count)
+    pts, weights, _, (coarse_pts, coarse_weights, _) = rule
+    for arr in (pts, weights, coarse_pts, coarse_weights):
+        arr.flags.writeable = False
+    return rule
+
+
 def _sphere_reference(m: ContactManifold, budget: int):
-    """The toric rule (see _toric_reference) on the unit sphere."""
-    return _toric_reference(np.ones(m.n + 1), budget)
+    """The toric rule (see _toric_reference) on the unit sphere, shared by
+    every call of the same node count (see _sphere_rule)."""
+    return _sphere_rule(m.n, _sample_count(budget))
 
 
 def _sphere_test_points(m: ContactManifold, count: int, rng) -> np.ndarray:

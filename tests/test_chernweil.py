@@ -206,6 +206,41 @@ def test_every_k_oracle_aliased_on_a_coarse_grid_is_caught_by_the_error_bar():
     assert res.std_error >= error
 
 
+def test_repeated_factor_is_evaluated_once_per_chunk(monkeypatch):
+    # S^5 at 2^15 takes two 2^14-point chunks and a 4^5-node companion chunk;
+    # every moment fn call is counted
+    chernweil = importlib.import_module("contactkit.chernweil")
+    calls = []
+    original = chernweil._quadratic_fn
+
+    def counting(gradient_map):
+        fn = original(gradient_map)
+
+        def counted(coords):
+            calls.append(1)
+            return fn(coords)
+
+        return counted
+
+    monkeypatch.setattr(chernweil, "_quadratic_fn", counting)
+    action = unitary_action(zoo.standard_sphere(2))
+    rng = np.random.default_rng(7)
+    a, b = action.random_element(rng), action.random_element(rng)
+    chunks = 3
+    once = pullback_polynomial(action, [a] * 4, budget=1 << 15)
+    assert len(calls) == chunks
+    calls.clear()
+    copies = pullback_polynomial(action, [a.copy() for _ in range(4)], budget=1 << 15)
+    assert len(calls) == 4 * chunks
+    assert (once.value, once.std_error) == (copies.value, copies.std_error)
+    calls.clear()
+    mixed = pullback_polynomial(action, [a, b, a], budget=1 << 15)
+    assert len(calls) == 2 * chunks
+    calls.clear()
+    separate = pullback_polynomial(action, [a, b, a.copy()], budget=1 << 15)
+    assert (mixed.value, mixed.std_error) == (separate.value, separate.std_error)
+
+
 @pytest.mark.parametrize("n, budget", [(1, 1 << 16), (2, 1 << 15)])
 def test_unitary_pairs_match_their_closed_form(n, budget):
     # I(iH, iK) = pi^(n+1) (tr H tr K + tr HK) / (4 (n+1)(n+2)) for positive

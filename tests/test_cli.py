@@ -61,11 +61,21 @@ def test_unknown_manifold_is_a_usage_error(capsys):
 
 
 def test_flow_zero_time_writes_single_row(capsys, tmp_path):
-    code, rep, _ = run_json(capsys, "flow", "--manifold", "sphere",
-                            "--start", "1,0,0,0", "--T", "0")
+    code, _, _ = run(capsys, "flow", "--manifold", "sphere", "--start", "1,0,0,0",
+                     "--T", "0", "--output", str(tmp_path / "flow.json"))
+    rep = json.loads((tmp_path / "flow.json").read_text())
     assert code == 0 and rep["pass"] is True
+    assert rep["trajectory_csv"] == str(tmp_path / "flow.csv")
     rows = (tmp_path / "flow.csv").read_text().strip().splitlines()
     assert len(rows) == 2 and rows[0].startswith("t,")
+
+
+def test_flow_without_output_writes_no_file(capsys, tmp_path):
+    code, rep, _ = run_json(capsys, "flow", "--manifold", "sphere",
+                            "--start", "1,0,0,0", "--T", "0.5")
+    assert code == 0 and rep["pass"] is True and rep["steps"] > 0
+    assert "trajectory_csv" not in rep
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flow_reports_the_hopf_return(capsys):

@@ -593,6 +593,25 @@ def test_defect_and_reeb_field_are_the_same_alone_and_in_a_batch():
                     assert np.array_equal(eps, batch[1][i]), where
 
 
+def test_defect_reads_rule_chunks_in_place_with_the_same_bits(golden, cotangent, torus):
+    # a toric rule stores its nodes as coordinate planes, so a chunk's
+    # coordinate rows are contiguous and the density reads them in place;
+    # the cotangent and torus rules are C-ordered, and their planes are made
+    # here, read-only as the shared sphere rules are
+    for m in (zoo.standard_sphere(1), zoo.standard_sphere(2), zoo.standard_sphere(3),
+              golden, cotangent, torus):
+        pts = m.reference_sampler(m, 4096)[0]
+        if pts.strides[0] != pts.itemsize:
+            pts = np.ascontiguousarray(pts.T).T
+            pts.flags.writeable = False
+        for chunk in (pts, pts[100:1100]):
+            assert chunk.strides[0] == chunk.itemsize, m.name
+            in_place = m.contact_defect(chunk)
+            copied = m.contact_defect(np.ascontiguousarray(chunk))
+            assert np.all(np.isfinite(in_place)), m.name
+            assert in_place.tobytes() == copied.tobytes(), m.name
+
+
 def test_reeb_residuals_at_a_point_are_floats(sphere, golden, cotangent, torus):
     for m in (sphere, golden, cotangent, torus):
         pts = sample(m, 6, seed=3)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from contactkit import zoo
+from contactkit import integrate, zoo
 from conftest import sample
 
 
@@ -91,6 +91,31 @@ def test_toric_rule_on_an_ellipsoid_integrates_its_area_and_moments():
     moment = (s_pts[:, 0] ** 2 + s_pts[:, 1] ** 2) * (s_pts[:, 2] ** 2 + s_pts[:, 3] ** 2)
     assert s_scale * math.fsum(moment * s_weights) == pytest.approx(
         zoo.sphere_volume(6) / 12.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, budget", [(1, 1 << 16), (2, 1 << 15), (3, 1 << 13), (1, 300)])
+def test_round_sphere_rule_is_built_once_and_read_only(n, budget):
+    m = zoo.standard_sphere(n)
+    rule = m.reference_sampler(m, budget)
+    # both orders are the bits of a fresh build
+    angles, factors = zoo._toric_orders(n, zoo._sample_count(budget))
+    fresh = [zoo._toric_rule(np.ones(n + 1), angles, factors),
+             zoo._toric_rule(np.ones(n + 1), zoo._halved(angles), zoo._halved(factors))]
+    for (pts, weights, scale), (f_pts, f_weights, f_scale) in zip([rule[:3], rule[3]], fresh):
+        assert pts.tobytes() == f_pts.tobytes() and weights.tobytes() == f_weights.tobytes()
+        assert scale == f_scale
+        for arr in (pts, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    # shared by every call of the same node count, a scaled form included
+    scaled = m.scaled(1.7)
+    again = scaled.reference_sampler(scaled, zoo._sample_count(budget))
+    assert again[0] is rule[0] and again[3][0] is rule[3][0]
+    first = integrate.contact_volume(m, budget=budget)
+    second = integrate.contact_volume(m, budget=budget)
+    uncached = integrate.apply_rule(m.contact_defect, tuple(fresh[0]) + (fresh[1],))
+    assert (first.value, first.std_error) == (second.value, second.std_error)
+    assert (first.value, first.std_error) == (uncached.value, uncached.std_error)
 
 
 def test_sphere_dimensions():
